@@ -912,8 +912,9 @@ impl Node {
         };
         self.pipeline.tick(now, &mut env, &mut self.mem);
         // 4. Protocol-thread graduation effects.
-        let actions = std::mem::take(&mut self.actions);
-        for a in actions {
+        // (Taken and put back so the buffer is reused, not reallocated.)
+        let mut actions = std::mem::take(&mut self.actions);
+        for a in actions.drain(..) {
             match a {
                 ProtAction::Send(idx, at) => {
                     let (msg, send_at) = self.dispatch.send_msg(idx, at);
@@ -935,6 +936,7 @@ impl Node {
                 }
             }
         }
+        self.actions = actions;
         // 5. New cache events from this cycle's pipeline activity.
         self.drain_mem_events(now);
         // 6. Refresh the cached status flags (O(1) end-of-run tests).

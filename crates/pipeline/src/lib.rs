@@ -26,6 +26,7 @@
 
 pub mod branch;
 pub mod env;
+mod iq;
 pub mod regs;
 pub mod smt;
 pub mod stats;

@@ -97,6 +97,8 @@ impl ClassFile {
 pub struct RegFiles {
     int: ClassFile,
     fp: ClassFile,
+    /// [`RegFiles::set_ready`] calls so far (either class).
+    writes: u64,
 }
 
 impl RegFiles {
@@ -106,6 +108,7 @@ impl RegFiles {
         RegFiles {
             int: ClassFile::new(total_int, app_threads, reserve_int),
             fp: ClassFile::new(total_fp, app_threads, 0),
+            writes: 0,
         }
     }
 
@@ -141,6 +144,14 @@ impl RegFiles {
     /// Mark a physical register's value available at `at`.
     pub fn set_ready(&mut self, c: RegClass, phys: u16, at: Cycle) {
         self.class_mut(c).ready_at[phys as usize] = at;
+        self.writes += 1;
+    }
+
+    /// Number of ready-time writes so far. A waiter that found a register
+    /// not yet ready need not look again until this moves.
+    #[inline]
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 
     /// When a physical register's value becomes available.

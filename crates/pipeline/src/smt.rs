@@ -7,16 +7,15 @@
 
 use crate::branch::{BranchPredictor, Btb};
 use crate::env::PipeEnv;
+use crate::iq::{srcs_ready_at, IssueQueue};
 use crate::regs::{RegFiles, RenameOutcome};
 use crate::stats::PipeStats;
-use crate::window::{DynInst, ThreadState};
+use crate::window::{DynInst, ThreadState, SEQ_MASK};
 use smtp_cache::{AccessOutcome, MemHierarchy};
 use smtp_isa::{FuClass, Inst, Op, Reg, RegClass, SyncOp, SyncOutcome};
 use smtp_trace::{Category, Event, Tracer};
 use smtp_types::{app_code_addr, Addr, Ctx, Cycle, NodeId, PipelineParams, Region, MAX_CTX};
 use std::collections::VecDeque;
-
-const SEQ_MASK: u64 = 0x0FFF_FFFF;
 
 /// Tag used by the head of the application store-buffer drain queue.
 const APP_DRAIN_TAG: u32 = 0xD000_0000;
@@ -30,6 +29,16 @@ fn make_tag(ctx: Ctx, seq: u64) -> u32 {
 
 fn split_tag(tag: u32) -> (Ctx, u64) {
     (Ctx((tag >> 28) as u8), (tag & SEQ_MASK as u32) as u64)
+}
+
+/// Successor of round-robin position `i` among `n` contexts.
+#[inline]
+fn next_rr(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -88,24 +97,20 @@ impl FrontQueue {
         }
     }
 
-    /// Remove (in order) all entries of one context — squash support.
-    fn remove_ctx(&mut self, ctx: Ctx) -> Vec<(u64, Inst)> {
+    /// Squash support: move all entries of one context, keeping their
+    /// order, to the front of its `refetch` buffer. Returns how many.
+    fn squash_into(&mut self, ctx: Ctx, refetch: &mut VecDeque<(u64, Inst)>) -> usize {
         let q = if ctx.is_protocol() {
             &mut self.prot
         } else {
             &mut self.app
         };
-        let mut out = Vec::new();
-        let mut kept = VecDeque::with_capacity(q.len());
-        while let Some(e) = q.pop_front() {
-            if e.ctx == ctx {
-                out.push((e.seq, e.inst));
-            } else {
-                kept.push_back(e);
-            }
+        let before = q.len();
+        for e in q.iter().rev().filter(|e| e.ctx == ctx) {
+            refetch.push_front((e.seq, e.inst));
         }
-        *q = kept;
-        out
+        q.retain(|e| e.ctx != ctx);
+        before - q.len()
     }
 }
 
@@ -122,7 +127,6 @@ pub struct SmtPipeline {
     node: NodeId,
     p: PipelineParams,
     app_threads: usize,
-    smtp: bool,
     reserve: usize,
     threads: Vec<ThreadState>,
     regs: RegFiles,
@@ -130,10 +134,11 @@ pub struct SmtPipeline {
     btb: Btb,
     decode_q: FrontQueue,
     rename_q: FrontQueue,
-    iq_int: VecDeque<(Ctx, u64)>,
-    iq_fp: VecDeque<(Ctx, u64)>,
-    iq_int_used: usize,
-    iq_fp_used: usize,
+    /// Active contexts: the application threads, plus the protocol thread
+    /// under SMTp.
+    n_active: usize,
+    iq_int: IssueQueue,
+    iq_fp: IssueQueue,
     lsq_used: usize,
     ckpt_used: usize,
     sb_used: usize,
@@ -147,6 +152,12 @@ pub struct SmtPipeline {
     drain_first: bool,
     stats: PipeStats,
     tracer: Tracer,
+    /// When set, issue decisions come from the replaced rescan algorithm.
+    #[cfg(test)]
+    oracle: Option<crate::iq::oracle::RescanQueues>,
+    /// Every issue-queue issue so far: `(cycle, class, ctx, seq)`.
+    #[cfg(test)]
+    issue_log: Vec<(Cycle, RegClass, Ctx, u64)>,
 }
 
 impl SmtPipeline {
@@ -161,7 +172,6 @@ impl SmtPipeline {
             node,
             p: p.clone(),
             app_threads,
-            smtp,
             reserve,
             threads,
             regs: RegFiles::new(
@@ -174,10 +184,9 @@ impl SmtPipeline {
             btb: Btb::new(p.btb_sets, p.btb_ways),
             decode_q: FrontQueue::new(p.decode_queue, reserve),
             rename_q: FrontQueue::new(p.rename_queue, reserve),
-            iq_int: VecDeque::new(),
-            iq_fp: VecDeque::new(),
-            iq_int_used: 0,
-            iq_fp_used: 0,
+            n_active: app_threads + usize::from(smtp),
+            iq_int: IssueQueue::default(),
+            iq_fp: IssueQueue::default(),
             lsq_used: 0,
             ckpt_used: 0,
             sb_used: 0,
@@ -191,6 +200,10 @@ impl SmtPipeline {
             drain_first: false,
             stats: PipeStats::default(),
             tracer: Tracer::disabled(),
+            #[cfg(test)]
+            oracle: None,
+            #[cfg(test)]
+            issue_log: Vec::new(),
         }
     }
 
@@ -200,13 +213,15 @@ impl SmtPipeline {
         self.tracer = tracer;
     }
 
-    /// Active contexts in commit priority order.
-    fn active_ctxs(&self) -> Vec<Ctx> {
-        let mut v: Vec<Ctx> = (0..self.app_threads).map(|i| Ctx(i as u8)).collect();
-        if self.smtp {
-            v.push(Ctx::protocol());
+    /// The `i`-th active context in commit priority order (`i <
+    /// n_active`): application threads first, then the protocol thread.
+    #[inline]
+    fn active_ctx(&self, i: usize) -> Ctx {
+        if i < self.app_threads {
+            Ctx(i as u8)
+        } else {
+            Ctx::PROTOCOL
         }
-        v
     }
 
     /// Whether every application thread has finished its program.
@@ -248,28 +263,19 @@ impl SmtPipeline {
     /// A load miss completed: wake the waiting instruction.
     pub fn load_done(&mut self, tag: u32, at: Cycle) {
         let (ctx, mseq) = split_tag(tag);
-        let th = &mut self.threads[ctx.idx()];
-        // Find the (unique) window instruction with this masked sequence
-        // still waiting on memory.
-        let Some(head) = th.window.front().map(|d| d.seq) else {
+        // The window instruction with this masked sequence, if it is still
+        // waiting on memory; stale wake-ups for squashed instructions are
+        // ignored.
+        let Some(d) = self.threads[ctx.idx()].find_masked(mseq) else {
             return;
         };
-        let mut target = None;
-        for d in th.window.iter_mut() {
-            if d.seq & SEQ_MASK == mseq && d.mem_started && !d.issued && d.inst.is_load() {
-                target = Some(d);
-                break;
-            }
-        }
-        let _ = head;
-        if let Some(d) = target {
+        if d.mem_started && !d.issued && d.inst.is_load() {
             d.issued = true;
             d.ready_at = at;
             if let Some((class, phys, _)) = d.dst_phys {
                 self.regs.set_ready(class, phys, at);
             }
         }
-        // Stale wake-ups for squashed instructions are ignored.
     }
 
     /// An instruction-cache miss completed for `ctx`.
@@ -299,18 +305,17 @@ impl SmtPipeline {
     // ------------------------------ resolve ------------------------------
 
     fn resolve_branches(&mut self, now: Cycle, env: &mut dyn PipeEnv) {
-        if self.resolving.is_empty() {
+        let due = self.resolving.iter().filter(|r| r.at <= now).count();
+        if due == 0 {
             return;
         }
+        // Sorting by time first puts the due entries in front.
         self.resolving
             .sort_unstable_by_key(|r| (r.at, r.ctx.0, r.seq));
-        let (due, rest): (Vec<Resolve>, Vec<Resolve>) = std::mem::take(&mut self.resolving)
-            .into_iter()
-            .partition(|r| r.at <= now);
-        self.resolving = rest;
-        for r in due {
-            self.resolve_one(r, now, env);
+        for i in 0..due {
+            self.resolve_one(self.resolving[i], now, env);
         }
+        self.resolving.drain(..due);
     }
 
     fn resolve_one(&mut self, r: Resolve, now: Cycle, _env: &mut dyn PipeEnv) {
@@ -359,71 +364,64 @@ impl SmtPipeline {
 
     fn squash_after(&mut self, ctx: Ctx, bseq: u64, now: Cycle) {
         let is_prot = ctx.is_protocol();
-        let mut squashed: Vec<(u64, Inst)> = Vec::new();
-        {
-            let th = &mut self.threads[ctx.idx()];
-            while th.window.back().is_some_and(|d| d.seq > bseq) {
-                let d = th.window.pop_back().expect("checked");
-                squashed.push((d.seq, d.inst));
-                if let Some((class, phys, prev)) = d.dst_phys {
-                    self.regs.rollback(
-                        ctx,
-                        Reg {
-                            class,
-                            idx: d.dst_logical,
-                        },
-                        phys,
-                        prev,
-                    );
-                }
-                if d.holds_ckpt {
-                    self.ckpt_used -= 1;
-                    if is_prot {
-                        self.stats.prot_branch_stack.sub(1);
-                    }
-                }
-                if d.in_lsq {
-                    self.lsq_used -= 1;
-                    if is_prot {
-                        self.stats.prot_lsq.sub(1);
-                    }
-                }
-                if d.in_sb {
-                    self.sb_used -= 1;
-                }
-                match d.in_iq {
-                    Some(RegClass::Int) => {
-                        self.iq_int_used -= 1;
-                        if is_prot {
-                            self.stats.prot_int_queue.sub(1);
-                        }
-                    }
-                    Some(RegClass::Fp) => self.iq_fp_used -= 1,
-                    None => {}
-                }
-                self.stats.squashed[ctx.idx()] += 1;
-            }
-            while th.mem_order.back().is_some_and(|&s| s > bseq) {
-                th.mem_order.pop_back();
-            }
+        let th = &mut self.threads[ctx.idx()];
+        // Everything squashed re-enters fetch ahead of what already waits in
+        // the refetch buffer, in program order: window, rename queue, decode
+        // queue, peek slot (the front-end entries are all younger than
+        // anything in the window). Prepend youngest first.
+        if let Some(peek) = th.peeked.take() {
+            th.refetch.push_front(peek);
         }
-        if is_prot && !squashed.is_empty() {
+        let dq = self.decode_q.squash_into(ctx, &mut th.refetch);
+        let rq = self.rename_q.squash_into(ctx, &mut th.refetch);
+        th.frontend_count -= rq + dq;
+        let mut squashed_any = false;
+        while th.window.back().is_some_and(|d| d.seq > bseq) {
+            let d = th.window.pop_back().expect("checked");
+            th.refetch.push_front((d.seq, d.inst));
+            squashed_any = true;
+            if let Some((class, phys, prev)) = d.dst_phys {
+                self.regs.rollback(
+                    ctx,
+                    Reg {
+                        class,
+                        idx: d.dst_logical,
+                    },
+                    phys,
+                    prev,
+                );
+            }
+            if d.holds_ckpt {
+                self.ckpt_used -= 1;
+                if is_prot {
+                    self.stats.prot_branch_stack.sub(1);
+                }
+            }
+            if d.in_lsq {
+                self.lsq_used -= 1;
+                if is_prot {
+                    self.stats.prot_lsq.sub(1);
+                }
+            }
+            if d.in_sb {
+                self.sb_used -= 1;
+            }
+            if is_prot && d.in_iq == Some(RegClass::Int) {
+                self.stats.prot_int_queue.sub(1);
+            }
+            self.stats.squashed[ctx.idx()] += 1;
+        }
+        while th.mem_order.back().is_some_and(|&s| s > bseq) {
+            th.mem_order.pop_back();
+        }
+        // Their issue-queue entries go now rather than on the next pass, so
+        // a refetched instruction reusing a sequence number can never meet
+        // its squashed incarnation's slot.
+        self.iq_int.purge_after(ctx, bseq);
+        self.iq_fp.purge_after(ctx, bseq);
+        if is_prot && squashed_any {
             self.stats.protocol_squash_cycles += 1;
         }
-        squashed.reverse();
-        // Remove younger front-end entries; they are all younger than
-        // anything in the window.
-        let rq = self.rename_q.remove_ctx(ctx);
-        let dq = self.decode_q.remove_ctx(ctx);
-        let th = &mut self.threads[ctx.idx()];
-        th.frontend_count -= rq.len() + dq.len();
-        let peek = th.peeked.take();
-        let old: Vec<(u64, Inst)> = th.refetch.drain(..).collect();
-        th.refetch.extend(squashed);
-        th.refetch.extend(rq);
-        th.refetch.extend(dq);
-        th.refetch.extend(peek);
-        th.refetch.extend(old);
         if th.block_seq.is_some_and(|s| s > bseq) {
             th.block_seq = None;
         }
@@ -438,17 +436,18 @@ impl SmtPipeline {
     // ------------------------------ commit ------------------------------
 
     fn commit(&mut self, now: Cycle, env: &mut dyn PipeEnv, mem: &mut MemHierarchy) {
-        let active = self.active_ctxs();
-        let n = active.len();
+        let n = self.n_active;
         let mut budget = self.p.commit_width;
         let mut committed_any = [false; MAX_CTX];
         'outer: while budget > 0 {
             let mut any = false;
-            for k in 0..n {
+            let mut i = self.rr_commit;
+            for _ in 0..n {
                 if budget == 0 {
                     break 'outer;
                 }
-                let ctx = active[(self.rr_commit + k) % n];
+                let ctx = self.active_ctx(i);
+                i = next_rr(i, n);
                 match self.try_commit_one(ctx, now, env, mem) {
                     CommitOne::Committed => {
                         budget -= 1;
@@ -462,7 +461,7 @@ impl SmtPipeline {
                 break;
             }
         }
-        self.rr_commit = (self.rr_commit + 1) % n;
+        self.rr_commit = next_rr(self.rr_commit, n);
         // Paper §4 time attribution (Figs. 5/7): every pre-finish cycle of
         // an application thread lands in exactly one bucket — busy, memory,
         // synchronization, squash recovery, fetch-starved or other.
@@ -675,13 +674,6 @@ impl SmtPipeline {
 
     // ------------------------------- issue -------------------------------
 
-    fn srcs_ready(&self, d: &DynInst, now: Cycle) -> bool {
-        d.src_phys.iter().all(|s| match s {
-            Some((class, phys)) => self.regs.ready_at(*class, *phys) <= now,
-            None => true,
-        })
-    }
-
     fn issue(&mut self, now: Cycle, mem: &mut MemHierarchy) {
         // Integer queue: ALUs minus the dedicated address-calculation unit.
         let alu_budget = self.p.alus - 1;
@@ -703,89 +695,77 @@ impl SmtPipeline {
         self.drain_protocol_stores(now, mem);
     }
 
-    fn issue_queue(&mut self, class: RegClass, budget: usize, now: Cycle) {
-        let mut budget = budget;
-        let len = match class {
-            RegClass::Int => self.iq_int.len(),
-            RegClass::Fp => self.iq_fp.len(),
-        };
-        let mut kept = VecDeque::with_capacity(len);
-        for _ in 0..len {
-            let (ctx, seq) = match class {
-                RegClass::Int => self.iq_int.pop_front(),
-                RegClass::Fp => self.iq_fp.pop_front(),
-            }
-            .expect("len checked");
-            let lat = {
-                let th = &self.threads[ctx.idx()];
-                match th.find(seq) {
-                    Some(d) if d.in_iq == Some(class) && !d.issued => {
-                        if budget > 0 && self.srcs_ready(d, now) {
-                            Some(d.inst.exec_latency(
-                                self.p.int_mul_latency,
-                                self.p.int_div_latency,
-                                self.p.fp_mul_latency,
-                                self.p.fp_div_latency,
-                            ))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => {
-                        continue; // squashed or stale: drop the entry
-                    }
-                }
-            };
-            match lat {
-                Some(lat) => {
-                    budget -= 1;
-                    let is_prot = ctx.is_protocol();
-                    let d = self.threads[ctx.idx()].find_mut(seq).expect("present");
-                    d.issued = true;
-                    d.in_iq = None;
-                    // 2 operand-read stages + execution.
-                    d.ready_at = now + 2 + lat;
-                    let ready_at = d.ready_at;
-                    let dst = d.dst_phys;
-                    // SyncBranches resolve at commit instead (their outcome
-                    // delivery must be non-speculative).
-                    let is_branch =
-                        d.inst.is_branch() && !matches!(d.inst.op, Op::SyncBranch { .. });
-                    match class {
-                        RegClass::Int => {
-                            self.iq_int_used -= 1;
-                            if is_prot {
-                                self.stats.prot_int_queue.sub(1);
-                            }
-                        }
-                        RegClass::Fp => self.iq_fp_used -= 1,
-                    }
-                    if let Some((c, phys, _)) = dst {
-                        self.regs.set_ready(c, phys, ready_at);
-                    }
-                    if is_branch {
-                        self.resolving.push(Resolve {
-                            ctx,
-                            seq,
-                            at: ready_at,
-                        });
-                    }
-                }
-                None => kept.push_back((ctx, seq)),
-            }
-        }
+    fn iq_mut(&mut self, class: RegClass) -> &mut IssueQueue {
         match class {
-            RegClass::Int => {
-                // preserve age order: kept entries go back in front order
-                for e in kept.into_iter().rev() {
-                    self.iq_int.push_front(e);
-                }
-            }
-            RegClass::Fp => {
-                for e in kept.into_iter().rev() {
-                    self.iq_fp.push_front(e);
-                }
-            }
+            RegClass::Int => &mut self.iq_int,
+            RegClass::Fp => &mut self.iq_fp,
+        }
+    }
+
+    /// Issue up to `budget` instructions of one queue, oldest ready first.
+    fn issue_queue(&mut self, class: RegClass, mut budget: usize, now: Cycle) {
+        #[cfg(test)]
+        if self.oracle.is_some() {
+            return self.issue_queue_oracle(class, budget, now);
+        }
+        // (Taken out for the pass so issuing can borrow the whole pipeline.)
+        let mut iq = std::mem::take(self.iq_mut(class));
+        let mut scan = iq.begin(&self.regs);
+        while budget > 0 {
+            let Some((ctx, seq)) = iq.next_ready(&mut scan, now, &self.regs) else {
+                break;
+            };
+            self.issue_one(class, ctx, seq, now);
+            budget -= 1;
+        }
+        iq.finish(scan);
+        *self.iq_mut(class) = iq;
+    }
+
+    /// [`SmtPipeline::issue_queue`] with the oracle choosing what issues.
+    #[cfg(test)]
+    fn issue_queue_oracle(&mut self, class: RegClass, budget: usize, now: Cycle) {
+        let oracle = self.oracle.as_mut().expect("caller checked");
+        for (ctx, seq) in oracle.scan(class, budget, now, &self.threads, &self.regs) {
+            self.iq_mut(class).remove(ctx, seq);
+            self.issue_one(class, ctx, seq, now);
+        }
+    }
+
+    /// Send one issue-queue instruction to its functional unit.
+    fn issue_one(&mut self, class: RegClass, ctx: Ctx, seq: u64, now: Cycle) {
+        #[cfg(test)]
+        self.issue_log.push((now, class, ctx, seq));
+        let d = self.threads[ctx.idx()]
+            .find_mut(seq)
+            .expect("queued instruction is in the window");
+        debug_assert!(d.in_iq == Some(class) && !d.issued);
+        let lat = d.inst.exec_latency(
+            self.p.int_mul_latency,
+            self.p.int_div_latency,
+            self.p.fp_mul_latency,
+            self.p.fp_div_latency,
+        );
+        d.issued = true;
+        d.in_iq = None;
+        // 2 operand-read stages + execution.
+        d.ready_at = now + 2 + lat;
+        let ready_at = d.ready_at;
+        // SyncBranches resolve at commit instead (their outcome
+        // delivery must be non-speculative).
+        let is_branch = d.inst.is_branch() && !matches!(d.inst.op, Op::SyncBranch { .. });
+        if let Some((c, phys, _)) = d.dst_phys {
+            self.regs.set_ready(c, phys, ready_at);
+        }
+        if class == RegClass::Int && ctx.is_protocol() {
+            self.stats.prot_int_queue.sub(1);
+        }
+        if is_branch {
+            self.resolving.push(Resolve {
+                ctx,
+                seq,
+                at: ready_at,
+            });
         }
     }
 
@@ -793,20 +773,21 @@ impl SmtPipeline {
         if *port == 0 {
             return;
         }
-        let active = self.active_ctxs();
-        let n = active.len();
-        for k in 0..n {
+        let n = self.n_active;
+        let mut i = self.rr_mem;
+        for _ in 0..n {
             if *port == 0 {
                 return;
             }
-            let ctx = active[(self.rr_mem + k) % n];
+            let ctx = self.active_ctx(i);
+            i = next_rr(i, n);
             let Some(&mseq) = self.threads[ctx.idx()].mem_order.front() else {
                 continue;
             };
             let (op, ready) = {
                 let th = &self.threads[ctx.idx()];
                 let d = th.find(mseq).expect("mem_order out of sync");
-                (d.inst.op, self.srcs_ready(d, now))
+                (d.inst.op, srcs_ready_at(&self.regs, &d.src_phys) <= now)
             };
             if !ready {
                 continue;
@@ -835,7 +816,7 @@ impl SmtPipeline {
                             // Retry next cycle; the port attempt is spent.
                         }
                     }
-                    self.rr_mem = (self.rr_mem + k + 1) % n;
+                    self.rr_mem = i;
                     return;
                 }
                 Op::Store { .. } => {
@@ -850,7 +831,7 @@ impl SmtPipeline {
                     d.issued = true;
                     d.ready_at = now + 1;
                     self.threads[ctx.idx()].mem_order.pop_front();
-                    self.rr_mem = (self.rr_mem + k + 1) % n;
+                    self.rr_mem = i;
                     return;
                 }
                 Op::Prefetch { addr, exclusive } => {
@@ -860,7 +841,7 @@ impl SmtPipeline {
                     d.issued = true;
                     d.ready_at = now + 1;
                     self.threads[ctx.idx()].mem_order.pop_front();
-                    self.rr_mem = (self.rr_mem + k + 1) % n;
+                    self.rr_mem = i;
                     return;
                 }
                 _ => unreachable!("non-speculative ops never enter mem_order"),
@@ -924,55 +905,48 @@ impl SmtPipeline {
             return;
         }
         let (ctx, mseq) = split_tag(tag);
-        let th = &mut self.threads[ctx.idx()];
-        for d in th.window.iter_mut() {
-            if d.seq & SEQ_MASK == mseq && d.mem_started && !d.issued && d.inst.is_store() {
-                if performed {
-                    d.issued = true;
-                    d.ready_at = at;
-                } else {
-                    d.mem_started = false; // retry: upgrade will be issued
-                }
-                return;
+        // Stale wake-ups for squashed instructions are ignored.
+        let Some(d) = self.threads[ctx.idx()].find_masked(mseq) else {
+            return;
+        };
+        if d.mem_started && !d.issued && d.inst.is_store() {
+            if performed {
+                d.issued = true;
+                d.ready_at = at;
+            } else {
+                d.mem_started = false; // retry: upgrade will be issued
             }
         }
-        // Stale wake-up for a squashed instruction: ignored.
     }
 
     // ------------------------------- rename -------------------------------
 
     fn rename(&mut self, now: Cycle) {
-        let mut budget = self.p.fetch_width; // 8-wide rename
-                                             // Protocol section first (it is rarely occupied and must never be
-                                             // blocked behind a stalled application instruction).
-        while budget > 0 {
-            let Some(e) = self.rename_q.prot.front().cloned() else {
-                break;
-            };
-            if self.try_rename(&e, now) {
-                self.rename_q.prot.pop_front();
+        // Rename is as wide as fetch.
+        let mut budget = self.p.fetch_width;
+        // Protocol section first (it is rarely occupied and must never be
+        // blocked behind a stalled application instruction).
+        for prot in [true, false] {
+            while budget > 0 && self.try_rename(prot, now) {
                 budget -= 1;
-            } else {
-                break;
-            }
-        }
-        while budget > 0 {
-            let Some(e) = self.rename_q.app.front().cloned() else {
-                break;
-            };
-            if self.try_rename(&e, now) {
-                self.rename_q.app.pop_front();
-                budget -= 1;
-            } else {
-                break;
             }
         }
     }
 
-    fn try_rename(&mut self, e: &FrontEntry, _now: Cycle) -> bool {
+    /// Rename the front entry of one rename-queue section into the window.
+    /// Returns `false` when the section is empty or its front must wait.
+    fn try_rename(&mut self, prot: bool, now: Cycle) -> bool {
+        let section = if prot {
+            &self.rename_q.prot
+        } else {
+            &self.rename_q.app
+        };
+        let Some(e) = section.front() else {
+            return false;
+        };
         let ctx = e.ctx;
         let is_prot = ctx.is_protocol();
-        let inst = e.inst;
+        let inst = &e.inst;
         let app_reserve = if is_prot { 0 } else { self.reserve };
         if self.threads[ctx.idx()].window.len() >= self.p.active_list {
             return false;
@@ -988,13 +962,13 @@ impl SmtPipeline {
         } else {
             match inst.fu_class() {
                 FuClass::IntAlu | FuClass::IntMulDiv => {
-                    if self.iq_int_used >= self.p.int_queue - app_reserve {
+                    if self.iq_int.len() >= self.p.int_queue - app_reserve {
                         self.stats.iq_full_stalls[ctx.idx()] += 1;
                         return false;
                     }
                 }
                 FuClass::Fpu => {
-                    if self.iq_fp_used >= self.p.fp_queue {
+                    if self.iq_fp.len() >= self.p.fp_queue {
                         self.stats.iq_full_stalls[ctx.idx()] += 1;
                         return false;
                     }
@@ -1003,7 +977,7 @@ impl SmtPipeline {
             }
         }
         // Branches also occupy an integer-queue slot for resolution.
-        if inst.is_branch() && self.iq_int_used >= self.p.int_queue - app_reserve {
+        if inst.is_branch() && self.iq_int.len() >= self.p.int_queue - app_reserve {
             self.stats.iq_full_stalls[ctx.idx()] += 1;
             return false;
         }
@@ -1013,7 +987,8 @@ impl SmtPipeline {
             }
         }
         // All checks passed: allocate.
-        let mut d = DynInst::new(inst, e.seq, e.predicted_taken);
+        let seq = e.seq;
+        let mut d = DynInst::new(*inst, seq, e.predicted_taken);
         for (i, s) in inst.srcs.iter().enumerate() {
             if let Some(r) = s {
                 d.src_phys[i] = Some((r.class, self.regs.lookup(ctx, *r)));
@@ -1042,7 +1017,7 @@ impl SmtPipeline {
                 self.stats.prot_lsq.add(1);
             }
             if !inst.is_nonspeculative() {
-                self.threads[ctx.idx()].mem_order.push_back(e.seq);
+                self.threads[ctx.idx()].mem_order.push_back(seq);
             }
         }
         if !inst.is_mem() || inst.is_branch() {
@@ -1051,32 +1026,35 @@ impl SmtPipeline {
                 FuClass::Fpu => RegClass::Fp,
                 _ => RegClass::Int,
             };
-            if !inst.is_mem() || inst.is_branch() {
-                match class {
-                    RegClass::Int => {
-                        self.iq_int_used += 1;
-                        self.iq_int.push_back((ctx, e.seq));
-                        if is_prot {
-                            self.stats.prot_int_queue.add(1);
-                        }
-                    }
-                    RegClass::Fp => {
-                        self.iq_fp_used += 1;
-                        self.iq_fp.push_back((ctx, e.seq));
+            match class {
+                RegClass::Int => {
+                    self.iq_int.push(ctx, seq, d.src_phys, &self.regs);
+                    if is_prot {
+                        self.stats.prot_int_queue.add(1);
                     }
                 }
-                d.in_iq = Some(class);
+                RegClass::Fp => self.iq_fp.push(ctx, seq, d.src_phys, &self.regs),
             }
+            #[cfg(test)]
+            if let Some(oracle) = &mut self.oracle {
+                oracle.push(class, ctx, seq);
+            }
+            d.in_iq = Some(class);
         }
         // Instructions with no issue path (Nop/Halt-like, none in practice)
         // complete instantly.
         if d.in_iq.is_none() && !d.inst.is_mem() {
             d.issued = true;
-            d.ready_at = _now;
+            d.ready_at = now;
         }
         let th = &mut self.threads[ctx.idx()];
         th.window.push_back(d);
         th.frontend_count -= 1;
+        if prot {
+            self.rename_q.prot.pop_front();
+        } else {
+            self.rename_q.app.pop_front();
+        }
         true
     }
 
@@ -1139,18 +1117,27 @@ impl SmtPipeline {
     fn fetch(&mut self, now: Cycle, env: &mut dyn PipeEnv, mem: &mut MemHierarchy) {
         // ICOUNT: pick the fetchable threads with the fewest in-flight
         // instructions.
-        let mut order: Vec<Ctx> = self
-            .active_ctxs()
-            .into_iter()
-            .filter(|&c| {
-                let th = &self.threads[c.idx()];
-                th.block_seq.is_none() && th.fetch_stall_until <= now && !th.awaiting_ifetch
-            })
-            .collect();
-        order.sort_by_key(|&c| self.threads[c.idx()].inflight());
+        let mut order = [(0usize, Ctx(0)); MAX_CTX];
+        let mut n = 0;
+        for i in 0..self.n_active {
+            let ctx = self.active_ctx(i);
+            let th = &self.threads[ctx.idx()];
+            if th.block_seq.is_some() || th.fetch_stall_until > now || th.awaiting_ifetch {
+                continue;
+            }
+            // Stable insertion: ties keep commit priority order.
+            let key = th.inflight();
+            let mut at = n;
+            while at > 0 && order[at - 1].0 > key {
+                order[at] = order[at - 1];
+                at -= 1;
+            }
+            order[at] = (key, ctx);
+            n += 1;
+        }
         let mut budget = self.p.fetch_width;
         let mut taken_threads = 0;
-        for ctx in order {
+        for &(_, ctx) in &order[..n] {
             if budget == 0 || taken_threads == self.p.fetch_threads {
                 break;
             }
@@ -1334,22 +1321,18 @@ impl SmtPipeline {
             bound = bound.min(r.at);
         }
         // Issue queues: an entry issues as soon as its sources are ready.
-        for &(ctx, seq) in self.iq_int.iter().chain(self.iq_fp.iter()) {
-            let th = &self.threads[ctx.idx()];
-            let Some(d) = th.find(seq) else { continue };
-            if d.issued || d.in_iq.is_none() {
-                continue; // stale entry: dropped for free on the next pass
-            }
-            bound = bound.min(self.srcs_ready_at(d));
-        }
-        for &ctx in &self.active_ctxs() {
+        bound = bound
+            .min(self.iq_int.next_wake(&self.regs))
+            .min(self.iq_fp.next_wake(&self.regs));
+        for i in 0..self.n_active {
+            let ctx = self.active_ctx(i);
             let th = &self.threads[ctx.idx()];
             // Memory issue: the head of the memory order issues when its
             // sources are ready — except a Store facing a full store
             // buffer, which waits (purely) for a drain.
             if let Some(&mseq) = th.mem_order.front() {
                 let d = th.find(mseq).expect("mem_order out of sync");
-                let ready_at = self.srcs_ready_at(d);
+                let ready_at = srcs_ready_at(&self.regs, &d.src_phys);
                 if matches!(d.inst.op, Op::Store { .. })
                     && self.sb_used >= self.p.store_buffer - self.reserve
                 {
@@ -1360,11 +1343,14 @@ impl SmtPipeline {
             }
             // Fetch: the context must be either filtered out of the fetch
             // order or provably unable to deliver anything.
-            if th.block_seq.is_some() || th.awaiting_ifetch {
-                // Cleared by a commit or an I-fetch wake-up; both are
-                // covered by other bounds.
+            if th.block_seq.is_some() {
+                // Cleared by a commit, which other bounds cover.
             } else if th.fetch_stall_until > now {
+                // Also while an I-fetch is outstanding: the stall bucket
+                // changes from squash recovery to starved at that cycle.
                 bound = bound.min(th.fetch_stall_until);
+            } else if th.awaiting_ifetch {
+                // Cleared by an I-fetch wake-up (the caller's horizon).
             } else if let Some((_, inst)) = th.peeked {
                 if matches!(inst.op, Op::Halt) || self.decode_q.can_push(ctx) {
                     return None; // would halt the thread / deliver the bundle
@@ -1404,14 +1390,6 @@ impl SmtPipeline {
         Some(bound)
     }
 
-    /// Earliest cycle at which every source of `d` is ready.
-    fn srcs_ready_at(&self, d: &DynInst) -> Cycle {
-        d.src_phys.iter().fold(0, |acc, s| match s {
-            Some((class, phys)) => acc.max(self.regs.ready_at(*class, *phys)),
-            None => acc,
-        })
-    }
-
     /// Bulk-apply the per-cycle bookkeeping of the pure stall ticks at
     /// cycles `from .. to` (exclusive), exactly as if [`SmtPipeline::tick`]
     /// had run for each of them under a valid [`SmtPipeline::frozen_until`]
@@ -1419,7 +1397,7 @@ impl SmtPipeline {
     pub fn skip_stalled(&mut self, from: Cycle, to: Cycle) {
         debug_assert!(to > from);
         let skipped = to - from;
-        let n = self.active_ctxs().len();
+        let n = self.n_active;
         self.rr_commit = (self.rr_commit + (skipped % n as u64) as usize) % n;
         if skipped % 2 == 1 {
             self.drain_first = !self.drain_first;
@@ -1469,7 +1447,7 @@ impl SmtPipeline {
         debug_assert!(to >= from);
         debug_assert!(self.finished() && self.protocol_quiesced());
         let over = to - from;
-        let n = self.active_ctxs().len();
+        let n = self.n_active;
         let back = (over % n as u64) as usize;
         self.rr_commit = (self.rr_commit + n - back) % n;
         if over % 2 == 1 {
@@ -1929,5 +1907,351 @@ mod tests {
         assert!(!pipe.drains_quiesced());
         pipe.sb_drain_prot.clear();
         assert!(pipe.drains_quiesced());
+    }
+
+    #[test]
+    fn memory_wakeups_ignore_stale_tags() {
+        let (mut pipe, _mem) = pipeline(1, false);
+        // Sequence numbers straddle the tag's wrap-around.
+        let first = SEQ_MASK - 1;
+        let th = &mut pipe.threads[0];
+        for seq in first..first + 4 {
+            let op = if seq % 2 == 0 {
+                Op::Load { addr: addr(0x40) }
+            } else {
+                Op::SyncStore {
+                    addr: addr(0x80),
+                    op: SyncOp::LockRelease(0),
+                }
+            };
+            let mut d = DynInst::new(Inst::new(op, 0), seq, false);
+            d.mem_started = true;
+            th.window.push_back(d);
+        }
+        let state = |pipe: &SmtPipeline| -> Vec<(bool, Cycle)> {
+            pipe.threads[0]
+                .window
+                .iter()
+                .map(|d| (d.issued, d.ready_at))
+                .collect()
+        };
+        let waiting = state(&pipe);
+        // Tags of squashed instructions beyond either end of the window, a
+        // load wake-up naming a store and a store wake-up naming a load.
+        pipe.load_done(make_tag(Ctx(0), first + 4), 9);
+        pipe.load_done(make_tag(Ctx(0), first - 1), 9);
+        pipe.store_done(make_tag(Ctx(0), first + 9), 9, true);
+        pipe.load_done(make_tag(Ctx(0), first + 1), 9);
+        pipe.store_done(make_tag(Ctx(0), first), 9, true);
+        assert_eq!(state(&pipe), waiting);
+        // Live tags on both sides of the wrap.
+        pipe.store_done(make_tag(Ctx(0), first + 1), 11, true);
+        pipe.load_done(make_tag(Ctx(0), first + 2), 12);
+        let woken = state(&pipe);
+        assert_eq!(woken[1], (true, 11));
+        assert_eq!(woken[2], (true, 12));
+        assert_eq!((woken[0], woken[3]), (waiting[0], waiting[3]));
+        // A second wake-up for an already completed load changes nothing.
+        pipe.load_done(make_tag(Ctx(0), first + 2), 99);
+        assert_eq!(state(&pipe), woken);
+    }
+
+    // ------------------------- differential tests -------------------------
+
+    use smtp_types::{LineAddr, SplitMix64};
+
+    /// Env for the randomized runs: fixed application programs, a protocol
+    /// instruction stream handed out whenever fetch asks (as under
+    /// look-ahead scheduling), and sync conditions decided by a call count.
+    struct MixEnv {
+        progs: Vec<FixedProgram>,
+        handlers: Vec<Inst>,
+        pos: usize,
+        polls: u64,
+    }
+
+    impl MixEnv {
+        fn prot_source_idle(&self) -> bool {
+            self.pos == self.handlers.len()
+        }
+    }
+
+    impl PipeEnv for MixEnv {
+        fn next_app_inst(&mut self, ctx: Ctx) -> Inst {
+            self.progs[ctx.idx()].next_inst()
+        }
+        fn next_protocol_inst(&mut self) -> Option<Inst> {
+            let inst = self.handlers.get(self.pos).copied();
+            self.pos += usize::from(inst.is_some());
+            inst
+        }
+        fn poll(&mut self, _n: NodeId, _c: Ctx, _cond: SyncCond) -> bool {
+            self.polls += 1;
+            !self.polls.is_multiple_of(3)
+        }
+        fn sync_store(&mut self, _n: NodeId, _c: Ctx, _op: SyncOp) -> SyncOutcome {
+            SyncOutcome::Done
+        }
+        fn sync_result(&mut self, ctx: Ctx, outcome: SyncOutcome) {
+            self.progs[ctx.idx()].sync_result(outcome)
+        }
+        fn send_graduated(&mut self, _msg_idx: u8, _now: Cycle) {}
+        fn ldctxt_graduated(&mut self, _now: Cycle) {}
+    }
+
+    /// A random application program: dependent integer and FP arithmetic
+    /// over eight registers per class, loads that hit a hot line or miss
+    /// on cold ones (into either class, so both queues wait on memory),
+    /// stores, unpredictable branches, prefetches and sync-branch pairs.
+    fn random_program(rng: &mut SplitMix64, thread: u64) -> Vec<Inst> {
+        let len = rng.range(150, 400) as usize;
+        let base = thread << 20;
+        let mut prog = Vec::with_capacity(len + 1);
+        while prog.len() < len {
+            let pc = prog.len() as u32;
+            let mut ireg = || Reg::int(rng.below(8) as u8);
+            let (ia, ib, id) = (ireg(), ireg(), ireg());
+            let mut freg = || Reg::fp(rng.below(8) as u8);
+            let (fa, fb, fd) = (freg(), freg(), freg());
+            let data = if rng.below(3) == 0 {
+                addr(base + 0x8_0000 + rng.below(1024) * 128)
+            } else {
+                addr(base + rng.below(16) * 8)
+            };
+            let alu = |op, a, b, d| Inst::new(op, pc).with_srcs(Some(a), Some(b)).with_dst(d);
+            let inst = match rng.below(100) {
+                0..=27 => alu(Op::IntAlu, ia, ib, id),
+                28..=32 => alu(Op::IntMul, ia, ib, id),
+                33..=34 => alu(Op::IntDiv, ia, ib, id),
+                35..=44 => alu(Op::FpAlu, fa, fb, fd),
+                45..=51 => alu(Op::FpMul, fa, fb, fd),
+                52..=53 => alu(Op::FpDiv, fa, fb, fd),
+                54..=62 => Inst::new(Op::Load { addr: data }, pc).with_dst(id),
+                63..=69 => Inst::new(Op::Load { addr: data }, pc).with_dst(fd),
+                70..=77 => Inst::new(Op::Store { addr: data }, pc).with_srcs(Some(ia), None),
+                78..=91 => Inst::new(
+                    Op::Branch {
+                        taken: rng.below(2) == 0,
+                        target: 0,
+                    },
+                    pc,
+                )
+                .with_srcs(Some(ia), None),
+                92..=94 => Inst::new(
+                    Op::Prefetch {
+                        addr: data,
+                        exclusive: rng.below(2) == 0,
+                    },
+                    pc,
+                ),
+                95..=96 => Inst::new(Op::Nop, pc),
+                _ => {
+                    prog.push(Inst::new(Op::SyncLoad { addr: data }, pc).with_dst(id));
+                    Inst::new(
+                        Op::SyncBranch {
+                            cond: SyncCond::LockFree(0),
+                        },
+                        pc + 1,
+                    )
+                    .with_srcs(Some(id), None)
+                }
+            };
+            prog.push(inst);
+        }
+        prog
+    }
+
+    /// A stream of protocol handlers with unpredictable branches, so the
+    /// protocol thread squashes too.
+    fn random_handlers(rng: &mut SplitMix64) -> Vec<Inst> {
+        let mut out = Vec::new();
+        for _ in 0..rng.range(4, 12) {
+            let dir = Addr::new(NodeId(0), Region::Directory, rng.below(64) * 128);
+            out.extend([
+                Inst::new(Op::PLoad { addr: dir }, 0).with_dst(Reg::int(1)),
+                Inst::new(Op::PAlu, 1)
+                    .with_srcs(Some(Reg::int(1)), None)
+                    .with_dst(Reg::int(3)),
+                Inst::new(
+                    Op::PBranch {
+                        taken: rng.below(2) == 0,
+                        target: 0,
+                    },
+                    2,
+                )
+                .with_srcs(Some(Reg::int(3)), None),
+                Inst::new(Op::PAlu, 3)
+                    .with_srcs(Some(Reg::int(3)), Some(Reg::int(1)))
+                    .with_dst(Reg::int(4)),
+                Inst::new(Op::Send { msg_idx: 0 }, 4).with_srcs(Some(Reg::int(4)), None),
+                Inst::new(Op::PStore { addr: dir }, 5).with_srcs(Some(Reg::int(4)), None),
+                Inst::new(Op::Switch, 6).with_dst(Reg::int(6)),
+                Inst::new(Op::Ldctxt, 7).with_dst(Reg::int(2)),
+            ]);
+        }
+        out
+    }
+
+    /// What one randomized run did.
+    #[derive(PartialEq, Debug)]
+    struct Outcome {
+        cycles: Cycle,
+        skipped: Cycle,
+        stats: String,
+        issues: Vec<(Cycle, RegClass, Ctx, u64)>,
+        /// Application squashes, protocol squash cycles, memory-stall and
+        /// sync-stall cycles: what the random inputs are meant to provoke.
+        provoked: [u64; 4],
+    }
+
+    /// Run the random workload of `seed`. `oracle` lets the replaced rescan
+    /// algorithm decide what issues; `skip` jumps over every span
+    /// `frozen_until` certifies instead of ticking through it. Misses are
+    /// filled after a random delay, so wake-ups arrive late enough to find
+    /// their instruction squashed.
+    fn drive(seed: u64, oracle: bool, skip: bool) -> Outcome {
+        let mut rng = SplitMix64::new(seed);
+        let app_threads = 1 + (seed % 4) as usize;
+        let smtp = seed % 2 == 1;
+        let mut env = MixEnv {
+            progs: (0..app_threads as u64)
+                .map(|t| FixedProgram::new(random_program(&mut rng, t)))
+                .collect(),
+            handlers: if smtp {
+                random_handlers(&mut rng)
+            } else {
+                Vec::new()
+            },
+            pos: 0,
+            polls: 0,
+        };
+        let p = PipelineParams::default();
+        let mut pipe = SmtPipeline::new(NodeId(0), &p, app_threads, smtp);
+        if oracle {
+            pipe.oracle = Some(Default::default());
+        }
+        let mut mem = MemHierarchy::new(NodeId(0), &p, smtp);
+        let mut fills: Vec<(Cycle, LineAddr)> = Vec::new();
+        let mut skipped = 0;
+        let mut now = 0;
+        loop {
+            assert!(now < 200_000, "seed {seed}: pipeline did not finish");
+            let mut i = 0;
+            while i < fills.len() {
+                if fills[i].0 <= now {
+                    let (_, line) = fills.remove(i);
+                    mem.fill(line, smtp_cache::Grant::Excl { acks: 0 }, now);
+                } else {
+                    i += 1;
+                }
+            }
+            for after_tick in [false, true] {
+                if after_tick {
+                    pipe.tick(now, &mut env, &mut mem);
+                }
+                while let Some(ev) = mem.pop_event() {
+                    use smtp_cache::MemEvent::*;
+                    match ev {
+                        LoadDone { tag, at } => pipe.load_done(tag, at),
+                        StoreDone { tag, at, performed } => pipe.store_done(tag, at, performed),
+                        IFetchDone { ctx, at } => pipe.ifetch_done(ctx, at),
+                        AppMiss { line, .. }
+                        | CodeFetch { line, .. }
+                        | ProtocolFetch { line, .. } => {
+                            fills.push((now + rng.range(3, 70), line));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            if pipe.finished()
+                && env.prot_source_idle()
+                && pipe.protocol_quiesced()
+                && pipe.drains_quiesced()
+                && fills.is_empty()
+            {
+                break;
+            }
+            let mut next = now + 1;
+            if skip {
+                if let Some(bound) = pipe.frozen_until(now, env.prot_source_idle()) {
+                    let due = fills.iter().map(|f| f.0).min().unwrap_or(Cycle::MAX);
+                    let bound = bound.min(due);
+                    assert!(bound < Cycle::MAX, "seed {seed}: frozen forever at {now}");
+                    if bound > next {
+                        pipe.skip_stalled(next, bound);
+                        skipped += bound - next;
+                        next = bound;
+                    }
+                }
+            }
+            now = next;
+        }
+        Outcome {
+            cycles: now,
+            skipped,
+            stats: format!("{:?}", pipe.stats()),
+            issues: std::mem::take(&mut pipe.issue_log),
+            provoked: [
+                pipe.stats.squashed[..app_threads].iter().sum(),
+                pipe.stats.protocol_squash_cycles,
+                pipe.stats.memory_stall.iter().sum(),
+                pipe.stats.sync_stall.iter().sum(),
+            ],
+        }
+    }
+
+    #[test]
+    fn wake_time_queues_match_the_rescan_oracle() {
+        let mut issues = 0;
+        let mut provoked = [0; 4];
+        for seed in 0..32 {
+            let new = drive(seed, false, false);
+            let old = drive(seed, true, false);
+            if let Some(at) = (0..new.issues.len().min(old.issues.len()))
+                .find(|&i| new.issues[i] != old.issues[i])
+            {
+                panic!(
+                    "seed {seed}: issue #{at} differs: {:?} vs oracle {:?}",
+                    new.issues[at], old.issues[at]
+                );
+            }
+            assert!(
+                new == old,
+                "seed {seed}: {} vs oracle {}",
+                new.stats,
+                old.stats
+            );
+            issues += new.issues.len();
+            for (sum, n) in provoked.iter_mut().zip(new.provoked) {
+                *sum += n;
+            }
+        }
+        assert!(issues > 5_000, "only {issues} issues compared");
+        assert!(
+            provoked.iter().all(|&n| n > 50),
+            "inputs too tame: {provoked:?}"
+        );
+    }
+
+    #[test]
+    fn skipping_a_frozen_span_equals_ticking_through_it() {
+        let mut skipped = 0;
+        for seed in 0..32 {
+            let ticked = drive(seed, false, false);
+            let jumped = drive(seed, false, true);
+            skipped += jumped.skipped;
+            let jumped = Outcome {
+                skipped: 0,
+                ..jumped
+            };
+            assert!(
+                jumped == ticked,
+                "seed {seed}: skipping {} vs ticking {}",
+                jumped.stats,
+                ticked.stats
+            );
+        }
+        assert!(skipped > 1_000, "only {skipped} cycles were ever skipped");
     }
 }

@@ -7,6 +7,10 @@ use smtp_isa::{Inst, RegClass};
 use smtp_types::{Ctx, Cycle};
 use std::collections::VecDeque;
 
+/// Sequence-number bits carried by a memory wake-up tag (the rest of the
+/// 32-bit tag names the context).
+pub(crate) const SEQ_MASK: u64 = 0x0FFF_FFFF;
+
 /// One in-flight dynamic instruction.
 #[derive(Clone, Debug)]
 pub struct DynInst {
@@ -144,6 +148,16 @@ impl ThreadState {
         self.window.get_mut(idx)
     }
 
+    /// Find a window instruction by the low [`SEQ_MASK`] bits of its
+    /// sequence number, as carried by a memory wake-up tag. The window is
+    /// seq-contiguous and far shorter than the mask, so the distance from
+    /// the head's masked sequence (modulo the mask) is the index.
+    pub fn find_masked(&mut self, mseq: u64) -> Option<&mut DynInst> {
+        let head = self.window.front()?.seq;
+        let idx = (mseq.wrapping_sub(head) & SEQ_MASK) as usize;
+        self.window.get_mut(idx)
+    }
+
     /// Whether this thread has completely finished (program ended and every
     /// instruction committed).
     pub fn finished(&self) -> bool {
@@ -172,6 +186,25 @@ mod tests {
         assert!(t.find(15).is_none());
         t.find_mut(14).unwrap().issued = true;
         assert!(t.window.back().unwrap().issued);
+    }
+
+    #[test]
+    fn find_masked_wraps_at_the_mask_boundary() {
+        let mut t = ThreadState::new(Ctx(0), 32);
+        let first = SEQ_MASK - 1; // window spans ..FFFE, ..FFFF, 1_0000_0000, ...
+        for s in first..first + 5 {
+            t.window
+                .push_back(DynInst::new(Inst::new(Op::IntAlu, 0), s, false));
+        }
+        for s in first..first + 5 {
+            assert_eq!(t.find_masked(s & SEQ_MASK).unwrap().seq, s);
+        }
+        // Tags outside the window (older than the head, younger than the
+        // tail) name no instruction.
+        assert!(t.find_masked((first - 1) & SEQ_MASK).is_none());
+        assert!(t.find_masked((first + 5) & SEQ_MASK).is_none());
+        t.window.clear();
+        assert!(t.find_masked(0).is_none());
     }
 
     #[test]
