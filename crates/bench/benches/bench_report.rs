@@ -13,9 +13,13 @@
 //! the archive keeps the complete per-run reports the summary rows were
 //! distilled from.
 //!
-//! Every point is run on the serial reference engine and on the parallel
-//! epoch engine; the archive pair is diffed and must be guest
-//! bit-identical before the wall-clock ratio is reported. Two legs ride
+//! Every point is run on the `serial` engine (one inline worker) and on the
+//! `parallel` engine (the point's pinned `workers`, else the host's
+//! parallelism, on threads), and checked once against the tick-everything
+//! reference loop; the archive pair is then diffed and must be guest
+//! bit-identical before the wall-clock ratio is reported. A `"workers":1`
+//! row times the same inline path on both legs, so its ratio reads
+//! run-to-run noise, not an engine difference. Two legs ride
 //! along past the main model×app grid: SMTp at the largest 16-capped
 //! machine pinned to 2 workers (so the report always carries multi-worker
 //! speedup/imbalance rows), and a 32-node SMTp smoke point (shared with
@@ -27,17 +31,20 @@
 //! SMTP_BENCH_OUT=other.json SMTP_ARCHIVE_DIR=archive cargo bench --bench bench_report
 //! ```
 
-use smtp_bench::{fig32_smoke_config, nodes_cap, timed_point, Archive, BenchRow, RunKey};
+use smtp_bench::{
+    assert_matches_reference, fig32_smoke_config, nodes_cap, timed_point, Archive, BenchRow, RunKey,
+};
 use smtp_core::{EngineKind, ExperimentConfig, Report};
 use smtp_types::MachineModel;
 use smtp_workloads::AppKind;
 
-/// Run one point on both engines, archive both full reports, and rebuild
-/// the summary row from the archived pair (asserting guest-identical
-/// results along the way).
+/// Run one point on both engines, check them against the reference loop,
+/// archive both full reports, and rebuild the summary row from the
+/// archived pair.
 fn engine_pair_row(archive: &mut Archive, e: &ExperimentConfig, label: &str) -> BenchRow {
     let (serial, _, serial_host) = timed_point(e, EngineKind::Serial);
     let (parallel, _, parallel_host) = timed_point(e, EngineKind::Parallel);
+    assert_matches_reference(e, &[&serial, &parallel], label);
     let (serial_host, parallel_host) = (
         serial_host.expect("serial host profile"),
         parallel_host.expect("parallel host profile"),

@@ -4,16 +4,19 @@
 //! By default this runs the shared 32-node *smoke* configuration
 //! ([`smtp_bench::fig32_smoke_config`], the same point `bench_report`
 //! reports as its scaling sentinel) on both execution engines with host
-//! telemetry, asserting bit-identical guest results and printing the
-//! engines' wall-clock attribution — the evidence base for the scaling
-//! push on the parallel engine.
+//! telemetry, asserting guest results bit-identical to the
+//! tick-everything reference loop (run once per point) and printing the
+//! engines' wall-clock attribution. `serial` is one inline worker;
+//! `parallel` is the point's pinned `workers` (2 here) on threads — on a
+//! point whose worker count comes to 1, both legs time the same inline
+//! path.
 //!
 //! Set `SMTP_FULL_FIGURE=1` to instead regenerate the full normalized
 //! execution-time figure (all five machine models × six applications,
 //! 1/2-way), which takes much longer. Set `SMTP_SCALE_SWEEP=1` to also
 //! run the scaling sweep *past* the paper — 32-, 64- and 128-node
 //! bristled hypercubes (capped by `SMTP_NODES_CAP`), each on both
-//! engines with bit-identity asserted and wall-clock attribution
+//! engines with the same reference check and wall-clock attribution
 //! printed.
 //!
 //! ```text
@@ -22,7 +25,7 @@
 //! SMTP_FULL_FIGURE=1 SMTP_SCALE=0.25 cargo bench --bench fig8_9_32node
 //! ```
 
-use smtp_bench::{fig32_smoke_config, scaling_config, timed_point};
+use smtp_bench::{assert_matches_reference, fig32_smoke_config, scaling_config, timed_point};
 use smtp_core::EngineKind;
 use smtp_workloads::AppKind;
 
@@ -45,11 +48,8 @@ fn main() {
         let e = fig32_smoke_config(app);
         let (serial, serial_secs, serial_host) = timed_point(&e, EngineKind::Serial);
         let (parallel, parallel_secs, parallel_host) = timed_point(&e, EngineKind::Parallel);
-        assert_eq!(
-            format!("{serial:?}"),
-            format!("{parallel:?}"),
-            "engines diverged on the 32-node smoke point ({app})"
-        );
+        let what = format!("the 32-node smoke point ({app})");
+        assert_matches_reference(&e, &[&serial, &parallel], &what);
         println!(
             "\n{} n={} w={}: {} cycles, serial {serial_secs:.2}s / parallel {parallel_secs:.2}s \
              = {:.2}x",
@@ -73,11 +73,7 @@ fn main() {
             let e = scaling_config(AppKind::Fft, nodes);
             let (serial, serial_secs, _) = timed_point(&e, EngineKind::Serial);
             let (parallel, parallel_secs, host) = timed_point(&e, EngineKind::Parallel);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{parallel:?}"),
-                "engines diverged at n={nodes}"
-            );
+            assert_matches_reference(&e, &[&serial, &parallel], &format!("n={nodes}"));
             println!(
                 "\nFFT n={nodes} w=2: {} cycles, serial {serial_secs:.2}s / parallel \
                  {parallel_secs:.2}s = {:.2}x",

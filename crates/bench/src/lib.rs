@@ -11,8 +11,9 @@
 //! * `SMTP_SCALE` — workload scale (default 0.5); lower for quick runs.
 //! * `SMTP_NODES_CAP` — cap the largest machine size (for smoke runs).
 //! * `SMTP_ENGINE` — execution engine for the figure benches
-//!   (`serial`|`parallel`, default `parallel`; guest results are
-//!   bit-identical, the choice is wall-clock only).
+//!   (`serial` = one inline worker | `parallel` = `workers` threads or the
+//!   host's parallelism, the default; guest results are bit-identical,
+//!   the choice is wall-clock only).
 
 use smtp_core::{build_system, run_experiment, EngineKind, ExperimentConfig, RunStats};
 use smtp_trace::HostProfile;
@@ -44,9 +45,9 @@ pub fn nodes_cap() -> usize {
 
 /// Execution engine the figure benches run on (env `SMTP_ENGINE`,
 /// default parallel). Guest results are bit-identical on either engine —
-/// the `engine_equivalence` grid enforces it — so the figures are
+/// the `engine_equivalence` sweep enforces it — so the figures are
 /// unchanged; the parallel default just regenerates them faster on
-/// multi-core hosts.
+/// multi-core hosts (on a one-core host it is the same inline loop).
 pub fn bench_engine() -> EngineKind {
     std::env::var("SMTP_ENGINE")
         .ok()
@@ -106,6 +107,27 @@ pub fn timed_point(
         r.cycles,
     );
     (r, wall, sys.take_host_profile())
+}
+
+/// The benches' correctness check, run once per point: every engine's
+/// `stats` for `e` must be exactly what the tick-everything reference loop
+/// ([`smtp_core::System::run_reference`]) produces.
+///
+/// # Panics
+///
+/// Panics naming `what` if the reference run fails or any `stats` differ.
+pub fn assert_matches_reference(e: &ExperimentConfig, stats: &[&RunStats], what: &str) {
+    let oracle = build_system(e)
+        .run_reference(e.max_cycles)
+        .unwrap_or_else(|err| panic!("{err}"));
+    let oracle = format!("{oracle:?}");
+    for s in stats {
+        assert_eq!(
+            oracle,
+            format!("{s:?}"),
+            "an engine diverged from the reference loop on {what}"
+        );
+    }
 }
 
 /// Print one paper-style normalized-execution-time figure: for each

@@ -1,108 +1,97 @@
-//! Execution engines: how the machine's cycle loop is driven.
+//! The execution engine: one epoch loop, two ways to reach the network.
 //!
-//! Two interchangeable backends produce bit-identical results:
+//! [`System::run_with`](crate::System::run_with) drives a single loop for
+//! both [`EngineKind`]s. Simulated time is cut into *epochs* no longer than
+//! the minimum cross-node message latency
+//! ([`smtp_noc::Network::min_latency`]), so no message injected in an epoch
+//! can arrive within it. Inside an epoch every node is advanced by the same
+//! routine ([`Lane::advance`]): take the node's deliveries for the cycle,
+//! [`Node::tick`], drain its outbox, record its quiescence and finish
+//! marks, then ask for a freeze certificate ([`Node::next_activity`]) and
+//! leave every provably pure-stall cycle unticked (bulk-accounted by
+//! [`Node::skip_idle`] when the node is next touched). Fault-armed nodes
+//! never issue a certificate and so never skip.
 //!
-//! * [`EngineKind::Serial`] — the reference loop in
-//!   [`System::run`](crate::System::run): every node ticked in index order,
-//!   one cycle at a time. Simple, and the oracle the parallel engine is
-//!   tested against.
-//! * [`EngineKind::Parallel`] — the epoch engine in this module. Nodes are
-//!   partitioned across worker threads and advanced independently for
-//!   *epochs* bounded so that within one epoch no message injected by any
-//!   node can arrive at another; node interactions are confined to epoch
-//!   barriers where the coordinator replays message injections and
-//!   pre-distributes the next epoch's arrivals.
+//! The routine is parameterised only by its [`Port`] — how it reaches the
+//! network and the synchronization fabric:
 //!
-//! The epoch bound starts from the static minimum cross-node message
-//! latency ([`smtp_noc::Network::min_latency`]) and, with
-//! [`EngineTuning::adaptive_epochs`] (the default), extends it using what
-//! the previous epoch *observed*: every node's freeze certificate
-//! ([`Node::next_activity`]) proves the node performs only pure stall
-//! ticks — no message injection, no sync-fabric traffic — before its wake
-//! bound, and the network knows its next scheduled arrival. No node can
-//! therefore inject before `inj_min = max(e_start, min(earliest wake,
-//! next arrival))`, and the epoch may safely run to `inj_min +
-//! min_latency`. Any node without a certificate (including every node of
-//! a fault-armed machine, where certificates are never issued) collapses
-//! the bound back to the conservative static one.
+//! * **Direct** (one effective worker: [`EngineKind::Serial`], or
+//!   [`EngineKind::Parallel`] on a 1-node machine, a 1-core host or with
+//!   `workers = Some(1)`). The loop runs inline on the calling thread and
+//!   owns the [`Network`] and the [`SyncManager`]: arrivals are popped when
+//!   the clock reaches them, messages are injected as they are drained, and
+//!   the tracer and profiler are written in place. Nodes are advanced in
+//!   `(cycle, node)` order, so every side effect lands at its position in
+//!   the tick-everything order by construction. There are no threads,
+//!   barriers, locks or capture buffers.
+//! * **Gated** (two or more workers). Nodes are split into fixed contiguous
+//!   [`chunk`]s, one worker thread each. Before an epoch the coordinator
+//!   pops every arrival of the epoch (all already in flight, by the epoch
+//!   bound) into the owning worker's inbox; workers record their
+//!   injections, which the coordinator sorts into `(cycle, node, slot)`
+//!   order and replays into the network after the closing barrier.
+//!   Determinism is kept by two mechanisms:
+//!   1. *Capture/replay of observability streams.* Trace events and
+//!      profiler operations emitted on workers are captured thread-locally,
+//!      tagged with their serial position
+//!      ([`smtp_types::capture::CapturePoint`]), and replayed by the
+//!      coordinator in a stable merge. The replay of epoch N is
+//!      double-buffered: it runs while the workers tick epoch N+1, except
+//!      when a check that reads the stream (watchdog, sanitizer), a failure
+//!      or the run's end must observe it at once.
+//!   2. *A position-gated synchronization fabric.* The [`SyncManager`] is
+//!      order-sensitive, so workers publish their `(cycle, node)` position
+//!      and a sync operation waits until every other worker has advanced
+//!      past it. Each worker always advances its lowest-positioned node, so
+//!      the globally lowest operation never waits on a higher one.
 //!
-//! Determinism is preserved by three mechanisms:
+//! Everything else is written once and shared: the cut schedule (epochs
+//! also end at watchdog multiples, sanitizer multiples, sampler cycles and
+//! `max_cycles`, so every check sees the exact state the tick-everything
+//! loop would show it), the exact-quiescence exit, [`HostProfile`]
+//! assembly and heartbeat emission.
 //!
-//! 1. **Capture/replay of observability streams.** Trace events and
-//!    profiler operations emitted on worker threads are captured into
-//!    thread-local buffers tagged with their serial position
-//!    ([`smtp_types::capture::CapturePoint`]) and replayed by the
-//!    coordinator in a stable merge, recreating the serial engine's exact
-//!    stream. Workers park their batches in per-worker harvest slots (no
-//!    shared-lock convoy at the barrier), and the coordinator replays an
-//!    epoch's merged batch *while the workers tick the next epoch* —
-//!    stream reconstruction is double-buffered off the barrier's critical
-//!    path, except at cycles where a watchdog check (which reads and
-//!    writes the trace stream) must observe it, where the replay stays
-//!    synchronous.
-//! 2. **A position-gated synchronization fabric.** The shared
-//!    [`SyncManager`] is order-sensitive (barrier arrivals, flag stores),
-//!    so workers publish their current `(cycle, node)` position and a sync
-//!    operation waits until every other worker has advanced past it —
-//!    imposing the serial engine's lexicographic order on the fabric
-//!    without locking nodes to each other the rest of the time. Each
-//!    worker always advances the lowest-positioned node it owns, so the
-//!    globally lowest operation can never be waiting on a higher one.
-//! 3. **Epoch cuts on every schedule the serial loop observes.** Epochs
-//!    end at watchdog multiples, invariant-check multiples, metrics-sample
-//!    cycles and `max_cycles`, so every check runs at the same cycle, on
-//!    the same machine state, in the same order as the serial loop.
-//!
-//! The engine also skips provably idle cycles: after each tick a node
-//! reports a conservative bound ([`Node::next_activity`]) below which
-//! every tick would be a pure stall tick, and the worker jumps straight to
-//! the bound (clamped to the next scheduled delivery and the epoch end),
-//! bulk-applying the skipped bookkeeping. Fault-armed nodes never skip,
-//! and the cut schedule above keeps watchdog, invariant and sampler ticks
-//! exact.
-//!
-//! Partitions are contiguous node ranges delimited by fence posts carried
-//! in each epoch's [`WindowPlan`]. With [`EngineTuning::rebalance_every`]
-//! nonzero (the default), the coordinator accumulates per-node tick
-//! counts and, when the per-worker tick imbalance over a window exceeds
-//! [`EngineTuning::rebalance_threshold`], recomputes the fences by a
-//! prefix-sum split of the observed per-node load. Ownership moves only
-//! at barriers; the cross-epoch per-node state a worker needs (freeze
-//! bounds, quiescence and app-finish marks) lives in a shared per-node
-//! table written back at every barrier, so a node's state follows it to
-//! its new owner. Guest results are bit-identical for every partition:
-//! the gate order and the capture positions are partition-independent.
+//! **Exact quiescence.** The reference loop exits at the first loop-top
+//! cycle Q at which the application is done, every node is quiescent and
+//! nothing is in flight. Q is computed from per-node marks at the end of
+//! each epoch ([`exit_cycle`]); nodes advanced past Q inside the epoch did
+//! only idle ticks, which [`Node::retract_idle`] rolls back (including
+//! fault-stream draws, from snapshots). The direct port also stops the
+//! moment Q is reached, because it writes the trace in place and a
+//! fault-armed idle tick past Q may still emit events; the gated port drops
+//! such events at replay.
 
-use crate::error::{RunError, RunErrorKind};
+use crate::error::RunErrorKind;
 use crate::node::Node;
 use crate::stats::RunStats;
-use crate::system::{coherence_violation, System, WATCHDOG_INTERVAL};
+use crate::system::{budget_exhausted, coherence_violation, no_network, System, WATCHDOG_INTERVAL};
+use crate::RunError;
 use smtp_isa::{SyncCond, SyncEnv, SyncOp, SyncOutcome};
-use smtp_noc::Msg;
+use smtp_noc::{Msg, Network};
 use smtp_trace::{
     take_captured_events, CapturedEvent, HostPhase, HostProfile, LaneProfile, PhaseTimer, Tracer,
 };
 use smtp_types::capture::{self, lane_inject, lane_tick, LANE_DELIVER};
 use smtp_types::{
     take_captured_prof_ops, CapturePoint, Ctx, Cycle, Histogram, NodeId, PhaseProfiler, ProfOp,
+    MAX_NODES,
 };
 use smtp_workloads::SyncManager;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Which execution engine drives the cycle loop. Both produce bit-identical
+/// How many host threads advance the machine. Both produce bit-identical
 /// statistics, trace streams and fault-injection behavior; the choice is
 /// purely about wall-clock speed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The reference loop: one cycle at a time, nodes in index order.
+    /// One worker, run inline on the calling thread.
     #[default]
     Serial,
-    /// The epoch engine: nodes partitioned across worker threads,
-    /// synchronized at lookahead barriers, with idle-cycle skipping.
+    /// `workers` threads (default: the host's available parallelism, never
+    /// more than nodes); runs inline like `Serial` when that comes to one.
     Parallel,
 }
 
@@ -117,62 +106,31 @@ impl std::str::FromStr for EngineKind {
     }
 }
 
+impl EngineKind {
+    fn label(self) -> &'static str {
+        match self {
+            EngineKind::Serial => "serial",
+            EngineKind::Parallel => "parallel",
+        }
+    }
+}
+
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineKind::Serial => write!(f, "serial"),
-            EngineKind::Parallel => write!(f, "parallel"),
-        }
-    }
-}
-
-/// Host-side tuning knobs for the parallel epoch engine. Strictly a
-/// wall-clock matter: guest-visible results are bit-identical for every
-/// setting (enforced by the `engine_equivalence` grid).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EngineTuning {
-    /// Extend epochs past the static minimum-latency bound using the
-    /// previous epoch's freeze certificates and the network's next
-    /// scheduled arrival (see the module docs). Falls back to the static
-    /// bound whenever any node lacks a certificate.
-    pub adaptive_epochs: bool,
-    /// Consider repartitioning nodes across workers every this many
-    /// epochs (`0` = never). The partition actually moves only when the
-    /// observed per-worker tick imbalance over the window exceeds
-    /// [`EngineTuning::rebalance_threshold`].
-    pub rebalance_every: u64,
-    /// Max/mean per-worker tick ratio above which a due rebalance fires.
-    pub rebalance_threshold: f64,
-}
-
-impl Default for EngineTuning {
-    fn default() -> EngineTuning {
-        EngineTuning {
-            adaptive_epochs: true,
-            rebalance_every: 32,
-            rebalance_threshold: 1.1,
-        }
-    }
-}
-
-impl EngineTuning {
-    /// The conservative configuration: static epoch bound, fixed
-    /// partition. The parallel engine behaved this way before tuning
-    /// existed; useful as a differential baseline.
-    pub fn conservative() -> EngineTuning {
-        EngineTuning {
-            adaptive_epochs: false,
-            rebalance_every: 0,
-            rebalance_threshold: f64::INFINITY,
-        }
+        f.write_str(self.label())
     }
 }
 
 /// Bits reserved for the node index in a packed worker position.
 const NODE_BITS: u32 = 12;
 
+const _: () = assert!(
+    MAX_NODES <= 1 << NODE_BITS,
+    "the largest valid machine must fit the packed position's node field"
+);
+
 /// Pack a `(cycle, node)` position into one atomic word, ordered like the
-/// serial engine's lexicographic `(cycle, node index)` tick order.
+/// tick-everything loop's lexicographic `(cycle, node index)` order.
 fn pack(cycle: Cycle, node: usize) -> u64 {
     (cycle << NODE_BITS) | node as u64
 }
@@ -182,23 +140,196 @@ fn next_multiple(x: Cycle, m: Cycle) -> Cycle {
     (x / m + 1) * m
 }
 
+/// Contiguous chunk of the node range owned by worker `w` of `workers`.
+fn chunk(w: usize, workers: usize, n: usize) -> (usize, usize) {
+    let base = n / workers;
+    let rem = n % workers;
+    let lo = w * base + w.min(rem);
+    let hi = lo + base + usize::from(w < rem);
+    (lo, hi)
+}
+
+/// Per-node scheduling state, carried across epochs.
+#[derive(Clone, Copy)]
+struct Marks {
+    /// First cycle not yet accounted for (ticked or idle-skipped).
+    pos: Cycle,
+    /// Cycle of the next real tick barring an earlier delivery: `pos`, or
+    /// the freeze bound the last tick certified.
+    next: Cycle,
+    /// First cycle X such that the node has been quiescent from the end of
+    /// tick `X-1` onward (`None` while active).
+    quiet_since: Option<Cycle>,
+    /// Cycle at whose tick-end the application threads had all finished.
+    finished_at: Option<Cycle>,
+}
+
+impl Marks {
+    /// Account for the frozen node's idle cycles `self.pos..to`, returning
+    /// how many there were.
+    fn settle(&mut self, node: &mut Node, to: Cycle) -> u64 {
+        let idle = to.saturating_sub(self.pos);
+        if idle > 0 {
+            node.skip_idle(self.pos, to);
+            self.pos = to;
+        }
+        idle
+    }
+}
+
+/// Cycle at which the whole application finished, once every node has.
+fn app_done<'a>(marks: impl Iterator<Item = &'a Marks>, known: Option<Cycle>) -> Option<Cycle> {
+    known.or_else(|| {
+        marks
+            .map(|m| m.finished_at)
+            .try_fold(0, |a, f| Some(a.max(f?)))
+    })
+}
+
+/// The tick-everything loop's exact exit cycle, if the machine has reached
+/// quiescence: the first loop-top cycle at which the application is done,
+/// every node is quiescent and nothing is in flight. `net_empty_from` is
+/// one past the last delivery cycle.
+fn exit_cycle<'a>(
+    marks: impl Iterator<Item = &'a Marks> + Clone,
+    app_done_at: Option<Cycle>,
+    network: Option<&Network>,
+    net_empty_from: Cycle,
+) -> Option<Cycle> {
+    if network.is_some_and(|net| net.in_flight_count() != 0) {
+        return None;
+    }
+    let done = app_done(marks.clone(), app_done_at)?;
+    let quiet = marks
+        .map(|m| m.quiet_since)
+        .try_fold(0, |a, q| Some(a.max(q?)))?;
+    Some((done + 1).max(quiet).max(net_empty_from))
+}
+
+/// Pop the network's next arrival cycle, if it is `<= horizon`, in the
+/// order the tick-everything loop would: `f(arrival cycle, capture slot,
+/// message)`, the network's own events positioned at the even slots.
+/// Returns that cycle, if there was one.
+fn pop_arrival_cycle(
+    net: &mut Network,
+    horizon: Cycle,
+    net_empty_from: &mut Cycle,
+    mut f: impl FnMut(Cycle, u32, Msg),
+) -> Option<Cycle> {
+    let a = net.next_arrival().filter(|&a| a <= horizon)?;
+    let mut k = 0u32;
+    loop {
+        capture::set_point((a, LANE_DELIVER, 2 * k));
+        let Some(msg) = net.pop_arrived(a) else { break };
+        *net_empty_from = (*net_empty_from).max(a + 1);
+        f(a, 2 * k + 1, msg);
+        k += 1;
+    }
+    Some(a)
+}
+
+/// How [`Lane::advance`] reaches the network and the synchronization
+/// fabric (the latter through [`SyncEnv`]).
+trait Port: SyncEnv {
+    /// Node `g` is about to tick at cycle `c`.
+    fn position(&mut self, c: Cycle, g: usize);
+    /// Hand `sink` the arrivals of the earliest cycle that still has any
+    /// for the lane's nodes, if that cycle is `<= horizon`, and return it.
+    fn arrivals(&mut self, horizon: Cycle, sink: impl FnMut(Cycle, Msg)) -> Option<Cycle>;
+    /// Send message `slot` of node `g`'s tick at `c` for injection at
+    /// `at`. `false`: the machine has no network.
+    fn inject(&mut self, c: Cycle, g: usize, slot: u32, at: Cycle, msg: Msg) -> bool;
+    /// Whether the whole machine is known to have quiesced at or before
+    /// loop-top cycle `c`, given the lane's marks.
+    fn quiesced_by(&self, c: Cycle, marks: &[Marks]) -> bool;
+}
+
+/// The inline port: owns the network and the fabric outright.
+struct Direct<'a> {
+    network: Option<&'a mut Network>,
+    sync: &'a mut SyncManager,
+    net_empty_from: &'a mut Cycle,
+    app_done_at: Option<Cycle>,
+}
+
+impl SyncEnv for Direct<'_> {
+    fn poll(&mut self, node: NodeId, ctx: Ctx, cond: SyncCond) -> bool {
+        self.sync.poll(node, ctx, cond)
+    }
+
+    fn sync_store(&mut self, node: NodeId, ctx: Ctx, op: SyncOp) -> SyncOutcome {
+        self.sync.sync_store(node, ctx, op)
+    }
+}
+
+impl Port for Direct<'_> {
+    fn position(&mut self, _c: Cycle, _g: usize) {}
+
+    fn arrivals(&mut self, horizon: Cycle, mut sink: impl FnMut(Cycle, Msg)) -> Option<Cycle> {
+        let net = self.network.as_mut()?;
+        pop_arrival_cycle(net, horizon, self.net_empty_from, |a, _, msg| sink(a, msg))
+    }
+
+    fn inject(&mut self, c: Cycle, _g: usize, _slot: u32, at: Cycle, msg: Msg) -> bool {
+        match &mut self.network {
+            Some(net) => net.inject(at.max(c), msg),
+            None => return false,
+        }
+        true
+    }
+
+    fn quiesced_by(&self, c: Cycle, marks: &[Marks]) -> bool {
+        exit_cycle(
+            marks.iter(),
+            self.app_done_at,
+            self.network.as_deref(),
+            *self.net_empty_from,
+        )
+        .is_some_and(|q| q <= c)
+    }
+}
+
 /// The shared synchronization fabric plus per-worker position words.
 struct Gate {
     positions: Vec<AtomicU64>,
     sync: Mutex<SyncManager>,
 }
 
-/// One worker's view of the gate for the node it is currently ticking.
-/// Implements [`SyncEnv`] by waiting until every other worker has advanced
-/// past this position, then forwarding to the real manager — which applies
-/// synchronization operations in exactly the serial engine's order.
-struct GateRef<'a> {
+/// A per-node delivery: `(arrival cycle, capture slot, message)`.
+type Delivery = (Cycle, u32, Msg);
+
+/// One recorded outbox message: node `node` pushed message `slot` of its
+/// tick at `cycle`, asking for injection at `at`.
+struct InjectRec {
+    cycle: Cycle,
+    node: usize,
+    slot: u32,
+    at: Cycle,
+    msg: Msg,
+}
+
+/// What a worker and the coordinator hand each other at the barriers: the
+/// epoch's pre-distributed arrivals one way, the captured observability
+/// streams and recorded injections the other.
+#[derive(Default)]
+struct Mailbox {
+    inbox: VecDeque<Delivery>,
+    events: Vec<CapturedEvent>,
+    prof: Vec<(CapturePoint, ProfOp)>,
+    injects: Vec<InjectRec>,
+}
+
+/// One worker's port: arrivals from its inbox, injections recorded for
+/// the coordinator, synchronization operations applied in position order.
+struct Gated<'a> {
     gate: &'a Gate,
     me: usize,
     pos: u64,
+    mail: &'a mut Mailbox,
 }
 
-impl GateRef<'_> {
+impl Gated<'_> {
+    /// Wait until every other worker has advanced past this position.
     fn wait_turn(&self) {
         let mut spins = 0u32;
         loop {
@@ -219,340 +350,290 @@ impl GateRef<'_> {
             }
         }
     }
+
+    fn fabric(&self) -> MutexGuard<'_, SyncManager> {
+        self.wait_turn();
+        self.gate.sync.lock().expect("a worker panicked mid-sync")
+    }
 }
 
-impl SyncEnv for GateRef<'_> {
+impl SyncEnv for Gated<'_> {
     fn poll(&mut self, node: NodeId, ctx: Ctx, cond: SyncCond) -> bool {
-        self.wait_turn();
-        self.gate.sync.lock().unwrap().poll(node, ctx, cond)
+        self.fabric().poll(node, ctx, cond)
     }
 
     fn sync_store(&mut self, node: NodeId, ctx: Ctx, op: SyncOp) -> SyncOutcome {
-        self.wait_turn();
-        self.gate.sync.lock().unwrap().sync_store(node, ctx, op)
+        self.fabric().sync_store(node, ctx, op)
     }
 }
 
-/// The coordinator's instructions for the next epoch, including the
-/// partition fence posts: worker `w` owns nodes `fence[w]..fence[w + 1]`
-/// for this epoch. Fences only move between epochs (rebalancing).
-struct WindowPlan {
-    start: Cycle,
-    end: Cycle,
-    stop: bool,
-    fence: Vec<usize>,
-}
+impl Port for Gated<'_> {
+    fn position(&mut self, c: Cycle, g: usize) {
+        self.pos = pack(c, g);
+        self.gate.positions[self.me].store(self.pos, Ordering::Release);
+        capture::set_point((c, lane_tick(g), 0));
+    }
 
-/// One recorded outbox message: node `node` pushed message `slot` of its
-/// tick at `cycle`, asking for injection at `at`.
-struct InjectRec {
-    cycle: Cycle,
-    node: usize,
-    slot: u32,
-    at: Cycle,
-    msg: Msg,
-}
-
-/// Per-node engine state shared across epochs and workers. Workers read
-/// their owned slice at the opening barrier and write it back at the
-/// closing one, so rebalancing can hand a node — state and all — to a
-/// different worker between epochs.
-struct SharedState {
-    /// Per node: first cycle X such that the node has been quiescent from
-    /// the end of tick `X-1` onward (`None` while active).
-    quiet_since: Vec<Option<Cycle>>,
-    /// Per node: first cycle at whose tick-end the application threads had
-    /// all finished.
-    finished_at: Vec<Option<Cycle>>,
-    /// Per node: freeze bound from the last real tick (0 = none): the
-    /// node provably performs only pure stall ticks before this cycle.
-    /// Lets a node stay frozen across epoch barriers, and feeds the
-    /// adaptive epoch bound.
-    wake: Vec<Cycle>,
-    /// Per node: ticks executed in the epoch just finished (rebalancing
-    /// load signal).
-    node_ticks: Vec<u64>,
-    /// Structured failure recorded mid-epoch (1-node machine emitting a
-    /// network message), with the serial cycle it would surface at.
-    error: Option<(Cycle, String)>,
-    /// Per worker, for the epoch just finished: `(node ticks executed,
-    /// node-cycles idle-skipped, tick-phase nanoseconds)`. The tick
-    /// nanoseconds are zero when host telemetry is off; the counters are
-    /// always maintained (two integer adds per event).
-    wstats: Vec<(u64, u64, u64)>,
-}
-
-/// One worker's per-epoch batch of captured observability streams and
-/// outbox messages. Each worker owns one slot, so parking a batch at the
-/// barrier never contends with sibling workers.
-#[derive(Default)]
-struct WorkerHarvest {
-    events: Vec<CapturedEvent>,
-    prof: Vec<(CapturePoint, ProfOp)>,
-    injects: Vec<InjectRec>,
-}
-
-/// A per-node delivery: `(arrival cycle, capture slot, message)`.
-type Delivery = (Cycle, u32, Msg);
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    me: usize,
-    n: usize,
-    cells: &[Mutex<Node>],
-    gate: &Gate,
-    plan: &Mutex<WindowPlan>,
-    inboxes: &[Mutex<VecDeque<Delivery>>],
-    state: &Mutex<SharedState>,
-    slot: &Mutex<WorkerHarvest>,
-    barrier: &Barrier,
-    single_node: bool,
-    telem: bool,
-    lanes_out: &Mutex<Vec<(usize, LaneProfile)>>,
-) {
-    capture::begin((0, 0, 0));
-    // Host telemetry: a handful of clock stamps per *epoch*, so the
-    // per-tick hot path is untouched. The opening barrier wait is the
-    // "departure" wait (blocked on the coordinator publishing the next
-    // window), the closing one the "arrival" wait (blocked on sibling
-    // stragglers); gate spin-waits happen mid-tick and are charged to
-    // the tick phase.
-    let mut timer = telem.then(|| PhaseTimer::new(HostPhase::BarrierDepart));
-    // Worker-local per-node scratch, indexed by global node id; only the
-    // currently owned slice is live (refreshed from the shared state each
-    // epoch, since rebalancing may have moved nodes between workers).
-    let mut hints: Vec<Cycle> = vec![0; n];
-    let mut inbox: Vec<VecDeque<Delivery>> = (0..n).map(|_| VecDeque::new()).collect();
-    let mut quiet: Vec<Option<Cycle>> = vec![None; n];
-    let mut finished: Vec<Option<Cycle>> = vec![None; n];
-    let mut node_ticks: Vec<u64> = vec![0; n];
-    let mut injects: Vec<InjectRec> = Vec::new();
-    let mut scratch: Vec<(Cycle, Msg)> = Vec::new();
-    let mut heap: BinaryHeap<Reverse<(Cycle, usize)>> = BinaryHeap::new();
-    loop {
-        barrier.wait();
-        let (p, lo, hi) = {
-            let pl = plan.lock().unwrap();
-            ((pl.start, pl.end, pl.stop), pl.fence[me], pl.fence[me + 1])
-        };
-        let (p_start, p_end, p_stop) = p;
-        if p_stop {
-            break;
+    fn arrivals(&mut self, horizon: Cycle, mut sink: impl FnMut(Cycle, Msg)) -> Option<Cycle> {
+        let inbox = &mut self.mail.inbox;
+        let a = inbox.front().map(|d| d.0).filter(|&a| a <= horizon)?;
+        while inbox.front().is_some_and(|d| d.0 == a) {
+            let (_, slot, msg) = inbox.pop_front().expect("peeked");
+            capture::set_point((a, LANE_DELIVER, slot));
+            sink(a, msg);
         }
+        Some(a)
+    }
+
+    fn inject(&mut self, cycle: Cycle, node: usize, slot: u32, at: Cycle, msg: Msg) -> bool {
+        self.mail.injects.push(InjectRec {
+            cycle,
+            node,
+            slot,
+            at,
+            msg,
+        });
+        true
+    }
+
+    fn quiesced_by(&self, _c: Cycle, _marks: &[Marks]) -> bool {
+        false // only the whole machine's marks can tell; see `Run::tally`
+    }
+}
+
+/// A contiguous run of nodes advanced by one worker: all of them when the
+/// loop runs inline, a [`chunk`] of them per thread otherwise.
+struct Lane {
+    /// Global index of `nodes[0]`.
+    lo: usize,
+    nodes: Vec<Node>,
+    marks: Vec<Marks>,
+    scratch: Vec<(Cycle, Msg)>,
+    /// The epoch just advanced: node ticks executed, node-cycles skipped,
+    /// and nanoseconds in the tick phase (0 with host telemetry off).
+    ticks: u64,
+    skipped: u64,
+    tick_ns: u64,
+    /// Structured failure (a message with no network to carry it) and the
+    /// cycle the tick-everything loop would surface it at.
+    failure: Option<(Cycle, String)>,
+    mail: Mailbox,
+}
+
+impl Lane {
+    fn new(lo: usize, nodes: Vec<Node>, now: Cycle) -> Lane {
+        let mark = Marks {
+            pos: now,
+            next: now,
+            quiet_since: None,
+            finished_at: None,
+        };
+        Lane {
+            lo,
+            marks: vec![mark; nodes.len()],
+            nodes,
+            scratch: Vec::new(),
+            ticks: 0,
+            skipped: 0,
+            tick_ns: 0,
+            failure: None,
+            mail: Mailbox::default(),
+        }
+    }
+
+    /// Run every real tick of the lane's nodes before `end`, lowest `(cycle,
+    /// node)` first; frozen nodes are left behind, to be settled when next
+    /// touched. Returns the number of messages sent to the network.
+    fn advance<P: Port>(&mut self, end: Cycle, port: &mut P) -> usize {
+        let Lane {
+            lo,
+            nodes,
+            marks,
+            scratch,
+            failure,
+            ..
+        } = self;
+        let lo = *lo;
+        let (mut ticks, mut skipped, mut sent) = (0u64, 0u64, 0usize);
+        // The previous epoch's retraction window has passed.
+        nodes.iter_mut().for_each(Node::clear_fault_snapshots);
+        // The cycle of the earliest scheduled tick.
+        let mut c = marks.iter().map(|m| m.next).min().unwrap_or(end);
+        'epoch: loop {
+            // Deliveries open a cycle, and may wake a frozen node early.
+            let woken = port.arrivals(c.min(end - 1), |a, msg| {
+                let i = msg.dst.idx() - lo;
+                debug_assert!(marks[i].pos <= a, "node advanced past a delivery");
+                skipped += marks[i].settle(&mut nodes[i], a);
+                nodes[i].receive(msg, a);
+                marks[i].next = a;
+            });
+            c = woken.unwrap_or(c);
+            if c >= end {
+                break;
+            }
+            let mut then = Cycle::MAX;
+            for i in 0..nodes.len() {
+                if marks[i].next != c {
+                    then = then.min(marks[i].next);
+                    continue;
+                }
+                // Only a quiescent node's tick can lie past the exit cycle.
+                if marks[i].quiet_since.is_some() && port.quiesced_by(c, marks) {
+                    break 'epoch;
+                }
+                let (g, node, m) = (lo + i, &mut nodes[i], &mut marks[i]);
+                skipped += m.settle(node, c);
+                port.position(c, g);
+                node.tick(c, port);
+                ticks += 1;
+                m.pos = c + 1;
+                node.drain_outbox(scratch);
+                for (slot, (at, msg)) in scratch.drain(..).enumerate() {
+                    if port.inject(c, g, slot as u32, at, msg) {
+                        sent += 1;
+                    } else {
+                        failure.get_or_insert_with(|| (c + 1, no_network(node.id(), c)));
+                    }
+                }
+                if failure.is_some() {
+                    break 'epoch; // the machine freezes at the failing tick
+                }
+                if node.quiescent() {
+                    m.quiet_since.get_or_insert(c + 1);
+                    // This tick may turn out to lie past the exit cycle;
+                    // snapshot the fault streams so a retraction can rewind
+                    // their draws too.
+                    node.snapshot_faults(c + 1);
+                } else {
+                    m.quiet_since = None;
+                }
+                if m.finished_at.is_none() && node.app_finished() {
+                    m.finished_at = Some(c);
+                }
+                m.next = node.next_activity(c).unwrap_or(c + 1);
+                then = then.min(m.next);
+            }
+            c = then;
+        }
+        self.ticks = ticks;
+        self.skipped = skipped;
+        sent
+    }
+}
+
+/// How one epoch of the loop in [`drive`] is executed and where its lanes
+/// live between epochs.
+trait Exchange {
+    /// Run every real tick before `end`; returns the number of messages
+    /// injected into the network.
+    fn epoch(&mut self, sys: &mut System, run: &mut Run, end: Cycle) -> usize;
+    /// Bring the tracer and profiler up to date with the epoch just
+    /// advanced — dropping everything at or past `cut` — because something
+    /// is about to read them.
+    fn publish(&mut self, _sys: &System, _run: &mut Run, _cut: Option<Cycle>) {}
+    /// Every lane, in node order, while no epoch is running.
+    fn lanes<R>(&mut self, f: impl FnOnce(&mut [&mut Lane]) -> R) -> R;
+}
+
+/// One worker, on the calling thread.
+struct Inline {
+    lane: Lane,
+}
+
+impl Exchange for Inline {
+    fn epoch(&mut self, sys: &mut System, run: &mut Run, end: Cycle) -> usize {
+        run.phase(HostPhase::Tick);
+        let sent = self.lane.advance(
+            end,
+            &mut Direct {
+                network: sys.network.as_mut(),
+                sync: &mut sys.sync,
+                net_empty_from: &mut run.net_empty_from,
+                app_done_at: sys.app_done_at,
+            },
+        );
+        run.phase(HostPhase::Merge);
+        let tick_ns = |t: &PhaseTimer| t.epoch_phase_ns(HostPhase::Tick);
+        self.lane.tick_ns = run.timer.as_ref().map_or(0, tick_ns);
+        sent
+    }
+
+    fn lanes<R>(&mut self, f: impl FnOnce(&mut [&mut Lane]) -> R) -> R {
+        f(&mut [&mut self.lane])
+    }
+}
+
+/// What the worker threads share with the coordinator.
+struct Pool {
+    lanes: Vec<Mutex<Lane>>,
+    gate: Gate,
+    /// End of the epoch to advance next, or `None` to stop.
+    window: Mutex<Option<Cycle>>,
+    /// Crossed by everyone twice per epoch: opening and closing. A lane is
+    /// its worker's between the two and the coordinator's otherwise.
+    barrier: Barrier,
+}
+
+impl Pool {
+    fn lock_lanes(&self) -> Vec<MutexGuard<'_, Lane>> {
+        let lanes = self.lanes.iter();
+        let locked = lanes.map(|l| l.lock().expect("a worker panicked holding its lane"));
+        locked.collect()
+    }
+}
+
+fn worker_loop(me: usize, pool: &Pool, telem: bool) -> Option<LaneProfile> {
+    capture::begin((0, 0, 0));
+    // A handful of clock stamps per *epoch*, so the per-tick hot path is
+    // untouched. The opening barrier wait is the "departure" wait (blocked
+    // on the coordinator publishing the next window), the closing one the
+    // "arrival" wait (blocked on sibling stragglers); gate spin-waits
+    // happen mid-tick and are charged to the tick phase.
+    let mut timer = telem.then(|| PhaseTimer::new(HostPhase::BarrierDepart));
+    loop {
+        pool.barrier.wait();
+        let window = *pool.window.lock().expect("window lock poisoned");
+        let Some(end) = window else { break };
         if let Some(t) = &mut timer {
             t.switch(HostPhase::Tick);
         }
-        let mut ticks: u64 = 0;
-        let mut skipped: u64 = 0;
-        // Refresh cross-epoch node state for the owned range (ownership
-        // may have moved since this worker last saw these nodes), pull
-        // this epoch's pre-distributed deliveries, and pin the owned
-        // nodes for the whole window: nothing else touches them until the
-        // closing barrier, so locking once here keeps the per-tick loop
-        // free of lock traffic.
-        {
-            let st = state.lock().unwrap();
-            for g in lo..hi {
-                hints[g] = st.wake[g];
-                quiet[g] = st.quiet_since[g];
-                finished[g] = st.finished_at[g];
-                node_ticks[g] = 0;
-            }
-        }
-        let mut guards: Vec<_> = (lo..hi).map(|g| cells[g].lock().unwrap()).collect();
-        for g in lo..hi {
-            inbox[g].append(&mut inboxes[g].lock().unwrap());
-        }
-        // Seed the schedule, extending freeze certificates across the
-        // barrier: a node frozen past the epoch start skips straight to
-        // its bound (clamped to its first delivery and the epoch end).
-        heap.clear();
-        for g in lo..hi {
-            let mut at = p_start;
-            let node = &mut *guards[g - lo];
-            // The previous epoch's retraction window has passed.
-            node.clear_fault_snapshots();
-            if hints[g] > at {
-                let cap = hints[g]
-                    .min(p_end)
-                    .min(inbox[g].front().map_or(Cycle::MAX, |d| d.0));
-                if cap > at {
-                    node.skip_idle(at, cap);
-                    skipped += cap - at;
-                    at = cap;
-                }
-            }
-            heap.push(Reverse((at, g)));
-        }
-        // Advance the lowest-positioned owned node until the epoch ends.
-        let mut failed = false;
-        while let Some(&Reverse((c, g))) = heap.peek() {
-            if c >= p_end || failed {
-                break;
-            }
-            heap.pop();
-            gate.positions[me].store(pack(c, g), Ordering::Release);
-            let node = &mut *guards[g - lo];
-            // Deliveries for this cycle, at their serial positions.
-            while inbox[g].front().is_some_and(|d| d.0 == c) {
-                let (cycle, slot_no, msg) = inbox[g].pop_front().expect("peeked");
-                capture::set_point((cycle, LANE_DELIVER, slot_no));
-                node.receive(msg, cycle);
-            }
-            debug_assert!(
-                inbox[g].front().is_none_or(|d| d.0 > c),
-                "missed a scheduled delivery"
-            );
-            capture::set_point((c, lane_tick(g), 0));
-            let mut env = GateRef {
-                gate,
-                me,
-                pos: pack(c, g),
-            };
-            node.tick(c, &mut env);
-            ticks += 1;
-            node_ticks[g] += 1;
-            node.drain_outbox(&mut scratch);
-            if single_node && !scratch.is_empty() {
-                // No network to inject into: surface the serial engine's
-                // structured failure and freeze the machine at this tick.
-                scratch.clear();
-                let id = node.id();
-                state.lock().unwrap().error.get_or_insert_with(|| {
-                    (
-                        c + 1,
-                        format!(
-                            "network message emitted on a 1-node machine by {id:?} at cycle {c}"
-                        ),
-                    )
-                });
-                failed = true;
-            } else {
-                for (k, (at, msg)) in scratch.drain(..).enumerate() {
-                    injects.push(InjectRec {
-                        cycle: c,
-                        node: g,
-                        slot: k as u32,
-                        at,
-                        msg,
-                    });
-                }
-            }
-            if node.quiescent() {
-                if quiet[g].is_none() {
-                    quiet[g] = Some(c + 1);
-                }
-                // This tick may later turn out to lie past the machine's
-                // exact quiescence point; snapshot the fault streams so a
-                // retraction can rewind their draws too.
-                node.snapshot_faults(c + 1);
-            } else {
-                quiet[g] = None;
-            }
-            if finished[g].is_none() && node.app_finished() {
-                finished[g] = Some(c);
-            }
-            // Idle-cycle skipping: jump past provably pure stall ticks.
-            hints[g] = 0;
-            let mut next = c + 1;
-            if !failed {
-                if let Some(b) = node.next_activity(c) {
-                    hints[g] = b;
-                    let cap = b
-                        .min(p_end)
-                        .min(inbox[g].front().map_or(Cycle::MAX, |d| d.0));
-                    if cap > next {
-                        node.skip_idle(next, cap);
-                        skipped += cap - next;
-                        next = cap;
-                    }
-                }
-            }
-            heap.push(Reverse((next, g)));
-        }
-        drop(guards);
-        gate.positions[me].store(pack(p_end, 0), Ordering::Release);
-        let tick_ns = match &mut timer {
-            Some(t) => {
-                t.switch(HostPhase::Merge);
-                t.epoch_phase_ns(HostPhase::Tick)
-            }
-            None => 0,
+        let mut guard = pool.lanes[me].lock().expect("lane lock poisoned");
+        let lane = &mut *guard;
+        let mut mail = std::mem::take(&mut lane.mail);
+        let mut port = Gated {
+            gate: &pool.gate,
+            me,
+            pos: 0,
+            mail: &mut mail,
         };
-        // Park the batch: node state into the shared table (tiny copies),
-        // the bulky capture streams into this worker's own slot.
-        {
-            let mut st = state.lock().unwrap();
-            st.wake[lo..hi].copy_from_slice(&hints[lo..hi]);
-            st.quiet_since[lo..hi].copy_from_slice(&quiet[lo..hi]);
-            st.finished_at[lo..hi].copy_from_slice(&finished[lo..hi]);
-            st.node_ticks[lo..hi].copy_from_slice(&node_ticks[lo..hi]);
-            st.wstats[me] = (ticks, skipped, tick_ns);
+        lane.advance(end, &mut port);
+        pool.gate.positions[me].store(pack(end, 0), Ordering::Release);
+        if let Some(t) = &mut timer {
+            t.switch(HostPhase::Merge);
+            lane.tick_ns = t.epoch_phase_ns(HostPhase::Tick);
         }
-        {
-            let mut sl = slot.lock().unwrap();
-            sl.events.extend(take_captured_events());
-            sl.prof.extend(take_captured_prof_ops());
-            sl.injects.append(&mut injects);
-        }
+        mail.events.extend(take_captured_events());
+        mail.prof.extend(take_captured_prof_ops());
+        lane.mail = mail;
+        drop(guard);
         if let Some(t) = &mut timer {
             t.switch(HostPhase::BarrierArrive);
         }
-        barrier.wait();
+        pool.barrier.wait();
         if let Some(t) = &mut timer {
             t.switch(HostPhase::BarrierDepart);
             t.end_epoch();
         }
     }
     capture::end();
-    if let Some(t) = timer {
-        lanes_out
-            .lock()
-            .unwrap()
-            .push((me, t.finish(&format!("w{me}"))));
-    }
-}
-
-/// Contiguous chunk of the node range owned by worker `w` of `workers`.
-fn chunk(w: usize, workers: usize, n: usize) -> (usize, usize) {
-    let base = n / workers;
-    let rem = n % workers;
-    let lo = w * base + w.min(rem);
-    let hi = lo + base + usize::from(w < rem);
-    (lo, hi)
-}
-
-/// Fence posts splitting `load` (per-node weights) into `workers`
-/// contiguous runs of near-equal total weight, each at least one node:
-/// worker `w` gets `fence[w]..fence[w + 1]`.
-fn balanced_fence(load: &[u64], workers: usize) -> Vec<usize> {
-    let n = load.len();
-    let total: u64 = load.iter().sum();
-    let mut fence = Vec::with_capacity(workers + 1);
-    fence.push(0);
-    let mut acc = 0u64;
-    let mut g = 0usize;
-    for w in 1..workers {
-        let target = total as f64 * w as f64 / workers as f64;
-        // Leave at least one node for every remaining worker.
-        let hi_max = n - (workers - w);
-        let hi_min = fence[w - 1] + 1;
-        // Take nodes while the running prefix stays within this worker's
-        // share — inclusively, so a prefix landing exactly on the target
-        // cuts *after* the node that reached it (an even split stays even).
-        while g < hi_max && (g < hi_min || ((acc + load[g]) as f64) <= target) {
-            acc += load[g];
-            g += 1;
-        }
-        fence.push(g);
-    }
-    fence.push(n);
-    fence
+    timer.map(|t| t.finish(&format!("w{me}")))
 }
 
 /// Sort and replay a batch of captured trace/profiler streams into the
 /// serial-order sinks, optionally dropping everything at or past `cut`
-/// (positions the serial loop never reached). Leaves the buffers empty.
+/// (positions the tick-everything loop never reaches). Leaves the buffers
+/// empty.
 fn replay_streams(
     events: &mut Vec<CapturedEvent>,
     prof: &mut Vec<(CapturePoint, ProfOp)>,
@@ -572,562 +653,498 @@ fn replay_streams(
     prof.clear();
 }
 
-/// Run the machine to completion on the parallel epoch engine. Produces
-/// results bit-identical to [`System::run`] for the same seed and
-/// configuration; see the module docs for how.
-pub(crate) fn run_parallel(sys: &mut System, max_cycles: Cycle) -> Result<RunStats, RunError> {
-    let n = sys.nodes.len();
-    if n > (1usize << NODE_BITS) {
-        // Positions pack the node index into 12 bits; fall back rather
-        // than mis-order the synchronization fabric.
-        return sys.run_with(max_cycles, EngineKind::Serial);
+/// The coordinator's side of the threaded exchange.
+struct Threaded<'a> {
+    pool: &'a Pool,
+    /// Worker owning each node.
+    owner: Vec<usize>,
+    /// Streams captured but not yet replayed into the tracer and profiler.
+    /// Pre-pass captures wait in `held_*` (they belong to the epoch being
+    /// opened); the merged batch accumulates in `pending_*` and is normally
+    /// replayed *while the workers tick the next epoch*.
+    held_events: Vec<CapturedEvent>,
+    held_prof: Vec<(CapturePoint, ProfOp)>,
+    pending_events: Vec<CapturedEvent>,
+    pending_prof: Vec<(CapturePoint, ProfOp)>,
+    injects: Vec<InjectRec>,
+}
+
+impl Exchange for Threaded<'_> {
+    fn epoch(&mut self, sys: &mut System, run: &mut Run, end: Cycle) -> usize {
+        // Pre-pass: every arrival in this epoch is already in flight (the
+        // epoch bound), so pop and pre-distribute them now, capturing the
+        // network's own events at their serial positions.
+        run.phase(HostPhase::Exchange);
+        {
+            let mut lanes = self.pool.lock_lanes();
+            let net = sys
+                .network
+                .as_mut()
+                .expect("a multi-node machine has a network");
+            capture::begin((0, 0, 0));
+            let mut distribute = |a, slot, msg: Msg| {
+                let inbox = &mut lanes[self.owner[msg.dst.idx()]].mail.inbox;
+                inbox.push_back((a, slot, msg));
+            };
+            let net_empty_from = &mut run.net_empty_from;
+            while pop_arrival_cycle(net, end - 1, net_empty_from, &mut distribute).is_some() {}
+            capture::end();
+            self.held_events.extend(take_captured_events());
+            self.held_prof.extend(take_captured_prof_ops());
+        }
+        *self.pool.window.lock().expect("window lock poisoned") = Some(end);
+        run.phase(HostPhase::BarrierDepart);
+        self.pool.barrier.wait(); // epoch starts
+        if !self.pending_events.is_empty() || !self.pending_prof.is_empty() {
+            // Double-buffered stream reconstruction: the previous epoch's
+            // batch, unless something had to observe it at once.
+            self.publish(sys, run, None);
+        }
+        run.phase(HostPhase::BarrierArrive);
+        self.pool.barrier.wait(); // epoch done
+        run.phase(HostPhase::Merge);
+        for mut lane in self.pool.lock_lanes() {
+            self.pending_events.append(&mut lane.mail.events);
+            self.pending_prof.append(&mut lane.mail.prof);
+            self.injects.append(&mut lane.mail.injects);
+        }
+        self.pending_events.append(&mut self.held_events);
+        self.pending_prof.append(&mut self.held_prof);
+        // Replay this epoch's injections in serial order.
+        self.injects.sort_by_key(|r| (r.cycle, r.node, r.slot));
+        run.phase(HostPhase::InjectReplay);
+        let sent = self.injects.len();
+        let net = sys
+            .network
+            .as_mut()
+            .expect("a multi-node machine has a network");
+        capture::begin((0, 0, 0));
+        for r in self.injects.drain(..) {
+            capture::set_point((r.cycle, lane_inject(r.node), r.slot));
+            net.inject(r.at.max(r.cycle), r.msg);
+        }
+        capture::end();
+        self.pending_events.extend(take_captured_events());
+        self.pending_prof.extend(take_captured_prof_ops());
+        sent
+    }
+
+    fn publish(&mut self, sys: &System, run: &mut Run, cut: Option<Cycle>) {
+        run.phase(HostPhase::CaptureReplay);
+        replay_streams(
+            &mut self.pending_events,
+            &mut self.pending_prof,
+            cut,
+            &sys.tracer,
+            &sys.profiler,
+        );
+    }
+
+    fn lanes<R>(&mut self, f: impl FnOnce(&mut [&mut Lane]) -> R) -> R {
+        let mut guards = self.pool.lock_lanes();
+        let mut lanes: Vec<&mut Lane> = guards.iter_mut().map(|g| &mut **g).collect();
+        f(&mut lanes)
+    }
+}
+
+/// Whether the watchdog and the coherence sanitizer run at cycle `at`.
+fn checks_due(sys: &System, at: Cycle) -> (bool, bool) {
+    let sanitizer = |every| at.is_multiple_of(every);
+    (
+        at.is_multiple_of(WATCHDOG_INTERVAL),
+        sys.invariant_every.is_some_and(sanitizer),
+    )
+}
+
+/// How a run ended: the exit cycle, or a failure and the cycle it
+/// surfaced at.
+type Outcome = Result<Cycle, (RunErrorKind, String, Cycle)>;
+
+/// Run-wide bookkeeping of the epoch loop, shared by both exchanges.
+struct Run {
+    /// The [`EngineKind`] the caller asked for, as heartbeats and the
+    /// profile name it.
+    label: &'static str,
+    workers: usize,
+    /// The epoch bound: minimum cross-node message latency.
+    lookahead: Cycle,
+    /// Wall-clock attribution of the calling thread, with host telemetry.
+    timer: Option<PhaseTimer>,
+    /// One past the cycle of the last network delivery.
+    net_empty_from: Cycle,
+    epochs: u64,
+    epoch_cycles: Histogram,
+    barrier_msgs: Histogram,
+    imbalance_x1000: Histogram,
+    ticked_cycles: u64,
+    skipped_cycles: u64,
+    /// Heartbeat bookkeeping: cumulative per-worker tick nanoseconds, so a
+    /// beat can report utilization over the interval since the last beat.
+    hb_cum_tick: Vec<u64>,
+    hb_last_tick: Vec<u64>,
+    hb_last_wall: Instant,
+}
+
+impl Run {
+    fn phase(&mut self, p: HostPhase) {
+        if let Some(t) = &mut self.timer {
+            t.switch(p);
+        }
+    }
+
+    /// The cut schedule: an epoch ends at the lookahead bound and at every
+    /// cycle the tick-everything loop checks or samples at.
+    fn plan(&self, sys: &System, e_start: Cycle, max_cycles: Cycle) -> Cycle {
+        let mut e_end = e_start
+            .saturating_add(self.lookahead)
+            .min(next_multiple(e_start, WATCHDOG_INTERVAL));
+        if let Some(every) = sys.invariant_every {
+            e_end = e_end.min(next_multiple(e_start, every));
+        }
+        if let Some(m) = &sys.metrics {
+            e_end = e_end.min(m.sampler.next_due() + 1);
+        }
+        e_end.min(max_cycles).max(e_start + 1)
+    }
+
+    /// Fold the finished epoch's per-lane results into the run: counters,
+    /// any structured failure, and the exit cycle if quiescence was reached.
+    fn tally(
+        &mut self,
+        sys: &mut System,
+        lanes: &mut [&mut Lane],
+        (e_start, e_end): (Cycle, Cycle),
+        sent: usize,
+    ) -> (Option<(Cycle, String)>, Option<Cycle>) {
+        self.epochs += 1;
+        self.epoch_cycles.record(e_end - e_start);
+        self.barrier_msgs.record(sent as u64);
+        let mut failure = None;
+        let (mut tick_sum, mut tick_max) = (0u64, 0u64);
+        for (lane, cum) in lanes.iter_mut().zip(&mut self.hb_cum_tick) {
+            failure = failure.or(lane.failure.take());
+            self.ticked_cycles += lane.ticks;
+            self.skipped_cycles += lane.skipped;
+            *cum += lane.tick_ns;
+            tick_sum += lane.ticks;
+            tick_max = tick_max.max(lane.ticks);
+        }
+        if lanes.len() > 1 && tick_sum > 0 {
+            let mean = tick_sum as f64 / lanes.len() as f64;
+            self.imbalance_x1000
+                .record((tick_max as f64 * 1000.0 / mean) as u64);
+        }
+        self.phase(HostPhase::Quiescence);
+        let marks = || lanes.iter().flat_map(|l| l.marks.iter());
+        sys.app_done_at = app_done(marks(), sys.app_done_at);
+        let q = exit_cycle(
+            marks(),
+            sys.app_done_at,
+            sys.network.as_ref(),
+            self.net_empty_from,
+        );
+        (failure, q)
+    }
+
+    /// Bring every node to `e_end` — or back to the exit cycle `q`, if that
+    /// came first — and run the end-of-epoch checks, in the
+    /// tick-everything loop's order and on its exact state. `Some` ends the
+    /// run.
+    fn check(
+        &mut self,
+        sys: &mut System,
+        lanes: &mut [&mut Lane],
+        q: Option<Cycle>,
+        e_end: Cycle,
+        max_cycles: Cycle,
+    ) -> Option<Outcome> {
+        let exit = q.filter(|&q| q < e_end);
+        let reached = exit.unwrap_or(e_end);
+        for lane in lanes.iter_mut() {
+            for (node, m) in lane.nodes.iter_mut().zip(&mut lane.marks) {
+                if m.pos > reached {
+                    // The reference loop exits at Q, before the ticks
+                    // Q..e_end — all idle ticks on a quiescent machine —
+                    // and before any end-of-epoch check. Roll the
+                    // overshoot back, and out of the work counters: armed
+                    // nodes tick every cycle, the rest skipped these.
+                    let over = m.pos - reached;
+                    node.retract_idle(reached, m.pos);
+                    m.pos = reached;
+                    let armed = sys.cfg.faults.is_active();
+                    let unskip = if armed {
+                        0
+                    } else {
+                        over.min(self.skipped_cycles)
+                    };
+                    self.skipped_cycles -= unskip;
+                    self.ticked_cycles -= over - unskip;
+                }
+                self.skipped_cycles += m.settle(node, reached);
+            }
+        }
+        if let Some(q) = exit {
+            return Some(Ok(q));
+        }
+        self.phase(HostPhase::Checks);
+        let (watchdog_due, sanitizer_due) = checks_due(sys, e_end);
+        let sample_due = sys
+            .metrics
+            .as_ref()
+            .is_some_and(|m| m.sampler.due(e_end - 1));
+        if watchdog_due || sanitizer_due || sample_due {
+            let view: Vec<&Node> = lanes.iter().flat_map(|l| l.nodes.iter()).collect();
+            let network = sys.network.as_ref();
+            if let Some(m) = &mut sys.metrics {
+                m.sample(sys.cfg.app_threads, &view, network, e_end - 1);
+            }
+            if watchdog_due {
+                let app_done = sys.app_done_at.is_some();
+                let fail = sys
+                    .watchdog
+                    .check(&view, network, app_done, &sys.tracer, e_end);
+                if let Some((kind, msg)) = fail {
+                    return Some(Err((kind, msg, e_end)));
+                }
+            }
+            if sanitizer_due {
+                if let Some(msg) = coherence_violation(&view) {
+                    return Some(Err((RunErrorKind::UnrecoverableFault, msg, e_end)));
+                }
+            }
+        }
+        if e_end >= max_cycles {
+            let msg = budget_exhausted(sys, max_cycles);
+            return Some(Err((RunErrorKind::Deadlock, msg, e_end)));
+        }
+        (q == Some(e_end)).then_some(Ok(e_end))
+    }
+
+    /// Per-worker utilization since the last heartbeat: tick nanoseconds
+    /// against wall-clock.
+    fn utilization(&mut self) -> Vec<f64> {
+        let now = Instant::now();
+        let dt_ns = now.duration_since(self.hb_last_wall).as_nanos().max(1) as f64;
+        let busy = self.hb_cum_tick.iter().zip(&self.hb_last_tick);
+        let util = busy
+            .map(|(cum, last)| (cum - last) as f64 / dt_ns)
+            .collect();
+        self.hb_last_tick.copy_from_slice(&self.hb_cum_tick);
+        self.hb_last_wall = now;
+        util
+    }
+}
+
+/// The epoch loop.
+fn drive<X: Exchange>(sys: &mut System, run: &mut Run, x: &mut X, max_cycles: Cycle) -> Outcome {
+    let mut e_start = sys.now;
+    loop {
+        let e_end = run.plan(sys, e_start, max_cycles);
+        let sent = x.epoch(sys, run, e_end);
+        let (failure, q) = x.lanes(|lanes| run.tally(sys, lanes, (e_start, e_end), sent));
+        // The streams must be current before a watchdog check reads (and
+        // writes) the trace, a sanitizer cycle or the run's end flushes it,
+        // or a failure dumps it; past-Q events are dropped.
+        let (watchdog_due, sanitizer_due) = checks_due(sys, e_end);
+        let read = watchdog_due || sanitizer_due || e_end >= max_cycles;
+        if failure.is_some() || q.is_some() || read {
+            let cut = q.filter(|&q| q < e_end && failure.is_none());
+            x.publish(sys, run, cut);
+        }
+        if let Some((cycle, msg)) = failure {
+            return Err((RunErrorKind::UnrecoverableFault, msg, cycle));
+        }
+        run.phase(HostPhase::Quiescence);
+        if let Some(outcome) = x.lanes(|lanes| run.check(sys, lanes, q, e_end, max_cycles)) {
+            return outcome;
+        }
+        run.phase(HostPhase::Other);
+        if let Some(t) = &mut run.timer {
+            t.end_epoch();
+        }
+        if sys.heartbeat.as_ref().is_some_and(|hb| hb.due(e_end)) {
+            let util = run.utilization();
+            let hb = sys.heartbeat.as_mut().expect("dueness checked");
+            hb.emit(e_end, run.label, run.workers, run.epochs, &util);
+        }
+        e_start = e_end;
+    }
+}
+
+/// Advance the machine on worker threads, one per [`chunk`] of `nodes`.
+/// Worker lane profiles (with host telemetry) are appended to `profiles`.
+fn run_threaded(
+    sys: &mut System,
+    run: &mut Run,
+    mut nodes: Vec<Node>,
+    max_cycles: Cycle,
+    profiles: &mut Vec<LaneProfile>,
+) -> Outcome {
+    let (n, workers) = (nodes.len(), run.workers);
+    let bounds: Vec<(usize, usize)> = (0..workers).map(|w| chunk(w, workers, n)).collect();
+    let mut lanes: Vec<Mutex<Lane>> = bounds
+        .iter()
+        .rev()
+        .map(|&(lo, _)| Mutex::new(Lane::new(lo, nodes.split_off(lo), sys.now)))
+        .collect();
+    lanes.reverse();
+    // The fabric goes behind the position gate for the duration.
+    let placeholder = SyncManager::new(sys.cfg.total_app_threads());
+    let pool = Pool {
+        lanes,
+        gate: Gate {
+            positions: (0..workers)
+                .map(|_| AtomicU64::new(pack(sys.now, 0)))
+                .collect(),
+            sync: Mutex::new(std::mem::replace(&mut sys.sync, placeholder)),
+        },
+        window: Mutex::new(None),
+        barrier: Barrier::new(workers + 1),
+    };
+    let telem = run.timer.is_some();
+    let outcome = std::thread::scope(|s| {
+        let pool = &pool;
+        let handles: Vec<_> = (0..workers)
+            .map(|w| s.spawn(move || worker_loop(w, pool, telem)))
+            .collect();
+        let mut x = Threaded {
+            pool,
+            owner: (0..workers)
+                .flat_map(|w| std::iter::repeat_n(w, bounds[w].1 - bounds[w].0))
+                .collect(),
+            held_events: Vec::new(),
+            held_prof: Vec::new(),
+            pending_events: Vec::new(),
+            pending_prof: Vec::new(),
+            injects: Vec::new(),
+        };
+        let outcome = drive(sys, run, &mut x, max_cycles);
+        debug_assert!(x.pending_events.is_empty() && x.pending_prof.is_empty());
+        *pool.window.lock().expect("window lock poisoned") = None;
+        pool.barrier.wait();
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"));
+        profiles.extend(joined.flatten());
+        outcome
+    });
+    for lane in pool.lanes {
+        let mut lane = lane
+            .into_inner()
+            .expect("a worker panicked holding its lane");
+        sys.nodes.append(&mut lane.nodes);
+    }
+    sys.sync = pool.gate.sync.into_inner().expect("sync lock poisoned");
+    outcome
+}
+
+/// Run the machine to quiescence (or failure) on `engine`. Guest-visible
+/// results are identical for every engine and worker count, and to
+/// [`System::run_reference`]; see the module docs for how.
+pub(crate) fn run(
+    sys: &mut System,
+    max_cycles: Cycle,
+    engine: EngineKind,
+) -> Result<RunStats, RunError> {
+    let label = engine.label();
+    let start_now = sys.now;
+    sys.host_profile = None;
+    if let Some(hb) = &mut sys.heartbeat {
+        hb.start(start_now);
     }
     if sys.quiesced() {
         if let Some(hb) = &mut sys.heartbeat {
             // Even a no-op run leaves its start and end liveness records.
-            hb.start(sys.now);
-            hb.emit(sys.now, "parallel", 0, 0, &[]);
-            hb.emit(sys.now, "parallel", 0, 0, &[]);
+            hb.emit(start_now, label, 0, 0, &[]);
+            hb.emit(start_now, label, 0, 0, &[]);
         }
         sys.tracer.flush();
         return Ok(sys.collect());
     }
-    let lookahead = sys
-        .network
-        .as_ref()
-        .map_or(WATCHDOG_INTERVAL, |net| net.min_latency().max(1));
-    // Worker count: pinned by the configuration, or the host's available
-    // parallelism; never more workers than nodes (a pinned count larger
-    // than the node count clamps rather than spawning empty partitions,
-    // and `SystemConfig::validate` rejects zero). A host-side knob only —
-    // results are bit-identical for any count.
-    let workers = sys
-        .cfg
-        .workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n);
-    let tuning = sys.tuning;
-    let single_node = sys.network.is_none();
-    let telem = sys.telemetry;
-    sys.host_profile = None;
-    let mut coord = telem.then(|| PhaseTimer::new(HostPhase::Other));
-    let lanes_out: Mutex<Vec<(usize, LaneProfile)>> = Mutex::new(Vec::new());
-    let start_now = sys.now;
-    let mut epochs: u64 = 0;
-    let mut epoch_cycles = Histogram::new();
-    let mut barrier_msgs = Histogram::new();
-    let mut imbalance_x1000 = Histogram::new();
-    let mut ticked_cycles: u64 = 0;
-    let mut skipped_cycles: u64 = 0;
-    // Heartbeat bookkeeping: cumulative per-worker tick nanoseconds, so a
-    // beat can report utilization over the interval since the last beat.
-    let mut hb_cum_tick: Vec<u64> = vec![0; workers];
-    let mut hb_last_tick: Vec<u64> = vec![0; workers];
-    let mut hb_last_wall = Instant::now();
+    // Worker count: one for `Serial`; for `Parallel` pinned by the
+    // configuration or the host's available parallelism, never more than
+    // nodes (`SystemConfig::validate` rejects zero).
+    let workers = match engine {
+        EngineKind::Serial => 1,
+        EngineKind::Parallel => {
+            let host = || std::thread::available_parallelism().map_or(1, |p| p.get());
+            let pinned = sys.cfg.workers.unwrap_or_else(host);
+            pinned.clamp(1, sys.nodes.len())
+        }
+    };
+    let min_latency = |net: &Network| net.min_latency().max(1);
+    let mut run = Run {
+        label,
+        workers,
+        lookahead: sys.network.as_ref().map_or(WATCHDOG_INTERVAL, min_latency),
+        timer: sys.telemetry.then(|| PhaseTimer::new(HostPhase::Other)),
+        net_empty_from: start_now,
+        epochs: 0,
+        epoch_cycles: Histogram::new(),
+        barrier_msgs: Histogram::new(),
+        imbalance_x1000: Histogram::new(),
+        ticked_cycles: 0,
+        skipped_cycles: 0,
+        hb_cum_tick: vec![0; workers],
+        hb_last_tick: vec![0; workers],
+        hb_last_wall: Instant::now(),
+    };
     if let Some(hb) = &mut sys.heartbeat {
-        hb.start(start_now);
         // Initial liveness record at the run start, so even a run shorter
         // than one heartbeat interval leaves a line-complete log.
-        hb.emit(start_now, "parallel", workers, 0, &vec![0.0; workers]);
+        hb.emit(start_now, label, workers, 0, &vec![0.0; workers]);
     }
-
-    // Take the machine apart: nodes behind per-node locks for the workers,
-    // the synchronization fabric behind the position gate.
-    let cells: Vec<Mutex<Node>> = std::mem::take(&mut sys.nodes)
-        .into_iter()
-        .map(Mutex::new)
-        .collect();
-    let placeholder = SyncManager::new(sys.cfg.total_app_threads());
-    let gate = Gate {
-        positions: (0..workers)
-            .map(|_| AtomicU64::new(pack(sys.now, 0)))
-            .collect(),
-        sync: Mutex::new(std::mem::replace(&mut sys.sync, placeholder)),
-    };
-    let init_fence: Vec<usize> = (0..workers)
-        .map(|w| chunk(w, workers, n).0)
-        .chain([n])
-        .collect();
-    let plan = Mutex::new(WindowPlan {
-        start: sys.now,
-        end: sys.now,
-        stop: false,
-        fence: init_fence.clone(),
-    });
-    let inboxes: Vec<Mutex<VecDeque<Delivery>>> =
-        (0..n).map(|_| Mutex::new(VecDeque::new())).collect();
-    let state = Mutex::new(SharedState {
-        quiet_since: vec![None; n],
-        finished_at: vec![None; n],
-        wake: vec![0; n],
-        node_ticks: vec![0; n],
-        error: None,
-        wstats: vec![(0, 0, 0); workers],
-    });
-    let slots: Vec<Mutex<WorkerHarvest>> = (0..workers)
-        .map(|_| Mutex::new(WorkerHarvest::default()))
-        .collect();
-    let barrier = Barrier::new(workers + 1);
-
-    let mut metrics = sys.metrics.take();
-    let mut wd = sys.watchdog;
-    let mut app_done_at = sys.app_done_at;
-    // Exact-quiescence trackers (see the Q computation at the barrier).
-    let mut finished_at: Vec<Option<Cycle>> = vec![None; n];
-    let mut quiet_since: Vec<Option<Cycle>> = vec![None; n];
-    let mut net_empty_from: Cycle = sys.now;
-    // Coordinator-side copy of the per-node freeze bounds harvested at the
-    // last barrier; feeds the adaptive epoch bound.
-    let mut wake: Vec<Cycle> = vec![0; n];
-    // Rebalancing bookkeeping: per-node and per-worker tick loads
-    // accumulated over the current observation window.
-    let mut fence = init_fence;
-    let mut load: Vec<u64> = vec![0; n];
-    let mut wload: Vec<u64> = vec![0; workers];
-    let mut window_epochs: u64 = 0;
-    let mut refence_due = false;
-    let mut rebalances: u64 = 0;
-    // Streams captured for an epoch but not yet replayed into the tracer
-    // and profiler. Pre-pass captures land in `held_*` (they belong to the
-    // epoch being planned); the merged batch accumulates in `pending_*`
-    // and is normally replayed *while the workers tick the next epoch*.
-    let mut held_events: Vec<CapturedEvent> = Vec::new();
-    let mut held_prof: Vec<(CapturePoint, ProfOp)> = Vec::new();
-    let mut pending_events: Vec<CapturedEvent> = Vec::new();
-    let mut pending_prof: Vec<(CapturePoint, ProfOp)> = Vec::new();
-
-    let outcome: Result<Cycle, (RunErrorKind, String, Cycle)> = std::thread::scope(|s| {
-        for (w, slot) in slots.iter().enumerate() {
-            let cells = &cells;
-            let gate = &gate;
-            let plan = &plan;
-            let inboxes = &inboxes;
-            let state = &state;
-            let barrier = &barrier;
-            let lanes_out = &lanes_out;
-            s.spawn(move || {
-                worker_loop(
-                    w,
-                    n,
-                    cells,
-                    gate,
-                    plan,
-                    inboxes,
-                    state,
-                    slot,
-                    barrier,
-                    single_node,
-                    telem,
-                    lanes_out,
-                )
-            });
-        }
-
-        let mut e_start = sys.now;
-        let outcome = loop {
-            // A due rebalance moves the fences before the next epoch is
-            // published; ownership only ever changes at this point, while
-            // every worker is parked at the opening barrier.
-            if refence_due {
-                refence_due = false;
-                fence = balanced_fence(&load, workers);
-                load.fill(0);
-                rebalances += 1;
-            }
-            // Epoch bound: adaptive (from observed freeze certificates
-            // and the next in-flight arrival) or static, then cut on
-            // every schedule the serial loop observes.
-            let mut e_end = if tuning.adaptive_epochs {
-                // Earliest cycle any node could act: frozen nodes cannot
-                // inject before their certified wake bound or their first
-                // delivery, whichever is earlier; a node without a
-                // certificate could act immediately.
-                let mut wake_min = Cycle::MAX;
-                for &w in &wake {
-                    let eff = if w > e_start { w } else { e_start };
-                    wake_min = wake_min.min(eff);
-                    if wake_min == e_start {
-                        break;
-                    }
-                }
-                let arrival = sys
-                    .network
-                    .as_ref()
-                    .and_then(|net| net.next_arrival())
-                    .unwrap_or(Cycle::MAX);
-                let inj_min = wake_min.min(arrival).max(e_start);
-                inj_min.saturating_add(lookahead)
-            } else {
-                e_start.saturating_add(lookahead)
-            };
-            e_end = e_end.min(next_multiple(e_start, WATCHDOG_INTERVAL));
-            if let Some(every) = sys.invariant_every {
-                e_end = e_end.min(next_multiple(e_start, every));
-            }
-            if let Some(m) = &metrics {
-                e_end = e_end.min(m.sampler.next_due() + 1);
-            }
-            e_end = e_end.min(max_cycles).max(e_start + 1);
-            // Pre-pass: every arrival in this epoch is already in flight
-            // (lookahead), so pop and pre-distribute them now, capturing
-            // the network's own events at their serial positions.
-            if let Some(t) = &mut coord {
-                t.switch(HostPhase::Exchange);
-            }
-            if let Some(net) = &mut sys.network {
-                capture::begin((0, 0, 0));
-                while let Some(a) = net.next_arrival() {
-                    if a >= e_end {
-                        break;
-                    }
-                    let mut k = 0u32;
-                    loop {
-                        capture::set_point((a, LANE_DELIVER, 2 * k));
-                        let Some(msg) = net.pop_arrived(a) else { break };
-                        inboxes[msg.dst.idx()]
-                            .lock()
-                            .unwrap()
-                            .push_back((a, 2 * k + 1, msg));
-                        net_empty_from = net_empty_from.max(a + 1);
-                        k += 1;
-                    }
-                }
-                capture::end();
-                held_events.extend(take_captured_events());
-                held_prof.extend(take_captured_prof_ops());
-            }
-            {
-                let mut pl = plan.lock().unwrap();
-                pl.start = e_start;
-                pl.end = e_end;
-                pl.stop = false;
-                pl.fence.clone_from(&fence);
-            }
-            if let Some(t) = &mut coord {
-                t.switch(HostPhase::BarrierDepart);
-            }
-            barrier.wait(); // epoch starts
-                            // Double-buffered stream reconstruction: replay the previous
-                            // epoch's merged capture batch while the workers tick this
-                            // epoch. (Empty when the previous epoch had to replay
-                            // synchronously — watchdog cycles, quiescence, failures.)
-            if !pending_events.is_empty() || !pending_prof.is_empty() {
-                if let Some(t) = &mut coord {
-                    t.switch(HostPhase::CaptureReplay);
-                }
-                replay_streams(
-                    &mut pending_events,
-                    &mut pending_prof,
-                    None,
-                    &sys.tracer,
-                    &sys.profiler,
-                );
-            }
-            if let Some(t) = &mut coord {
-                t.switch(HostPhase::BarrierArrive);
-            }
-            barrier.wait(); // epoch done
-            if let Some(t) = &mut coord {
-                t.switch(HostPhase::Merge);
-            }
-            let mut injects: Vec<InjectRec> = Vec::new();
-            let failure;
-            {
-                let mut st = state.lock().unwrap();
-                for g in 0..n {
-                    quiet_since[g] = st.quiet_since[g];
-                    if finished_at[g].is_none() {
-                        finished_at[g] = st.finished_at[g];
-                    }
-                    wake[g] = st.wake[g];
-                    load[g] += st.node_ticks[g];
-                }
-                failure = st.error.take();
-                // Per-epoch counters: epoch length, barrier traffic, work
-                // done vs. skipped, and the owned-node tick imbalance
-                // across workers.
-                epochs += 1;
-                epoch_cycles.record(e_end - e_start);
-                let mut tick_sum = 0u64;
-                let mut tick_max = 0u64;
-                for (w, (cum, &(t, sk, ns))) in hb_cum_tick.iter_mut().zip(&st.wstats).enumerate() {
-                    ticked_cycles += t;
-                    skipped_cycles += sk;
-                    *cum += ns;
-                    tick_sum += t;
-                    tick_max = tick_max.max(t);
-                    wload[w] += t;
-                }
-                if workers > 1 && tick_sum > 0 {
-                    let mean = tick_sum as f64 / workers as f64;
-                    imbalance_x1000.record((tick_max as f64 * 1000.0 / mean) as u64);
-                }
-            }
-            for sl in &slots {
-                let mut sl = sl.lock().unwrap();
-                pending_events.append(&mut sl.events);
-                pending_prof.append(&mut sl.prof);
-                injects.append(&mut sl.injects);
-            }
-            pending_events.append(&mut held_events);
-            pending_prof.append(&mut held_prof);
-            barrier_msgs.record(injects.len() as u64);
-            // Schedule a repartition when a full observation window shows
-            // a worker ticking disproportionately often.
-            if workers > 1 && tuning.rebalance_every > 0 {
-                window_epochs += 1;
-                if window_epochs >= tuning.rebalance_every {
-                    window_epochs = 0;
-                    let sum: u64 = wload.iter().sum();
-                    let max = wload.iter().copied().max().unwrap_or(0);
-                    if sum > 0 {
-                        let mean = sum as f64 / workers as f64;
-                        refence_due = max as f64 > mean * tuning.rebalance_threshold;
-                    }
-                    if !refence_due {
-                        load.fill(0);
-                    }
-                    wload.fill(0);
-                }
-            }
-            // Replay this epoch's injections in serial order.
-            injects.sort_by_key(|r| (r.cycle, r.node, r.slot));
-            if let Some(t) = &mut coord {
-                t.switch(HostPhase::InjectReplay);
-            }
-            if let Some(net) = &mut sys.network {
-                capture::begin((0, 0, 0));
-                for r in injects.drain(..) {
-                    capture::set_point((r.cycle, lane_inject(r.node), r.slot));
-                    net.inject(r.at.max(r.cycle), r.msg);
-                }
-                capture::end();
-                pending_events.extend(take_captured_events());
-                pending_prof.extend(take_captured_prof_ops());
-            }
-            if let Some(t) = &mut coord {
-                t.switch(HostPhase::Quiescence);
-            }
-            if app_done_at.is_none() && finished_at.iter().all(|f| f.is_some()) {
-                app_done_at = finished_at.iter().map(|f| f.expect("checked")).max();
-            }
-            // Exact serial exit cycle Q, if this epoch reached quiescence:
-            // the first loop-top cycle at which the application is done,
-            // every node is quiescent and nothing is in flight.
-            let in_flight = sys.network.as_ref().map_or(0, |net| net.in_flight_count());
-            let q_cycle = match app_done_at {
-                Some(done) if in_flight == 0 && quiet_since.iter().all(|q| q.is_some()) => {
-                    let mq = quiet_since
-                        .iter()
-                        .map(|q| q.expect("checked"))
-                        .max()
-                        .expect("at least one node");
-                    Some((done + 1).max(mq).max(net_empty_from).max(e_start))
-                }
-                _ => None,
-            };
-            // Merge every capture stream into the serial order and replay
-            // now when something downstream must observe it this epoch:
-            // a watchdog check reads (and writes) the trace stream, an
-            // invariant cycle or the run's end flushes it, and ticks at
-            // or past Q are about to be retracted (the serial loop never
-            // ran them), so their events are dropped. Otherwise the
-            // replay is deferred into the next epoch's tick window.
-            let ends_epoch_checked = e_end.is_multiple_of(WATCHDOG_INTERVAL)
-                || sys
-                    .invariant_every
-                    .is_some_and(|every| e_end.is_multiple_of(every));
-            if failure.is_some() || q_cycle.is_some() || ends_epoch_checked || e_end >= max_cycles {
-                if let Some(t) = &mut coord {
-                    t.switch(HostPhase::CaptureReplay);
-                }
-                let cut = q_cycle.filter(|&q| q < e_end && failure.is_none());
-                replay_streams(
-                    &mut pending_events,
-                    &mut pending_prof,
-                    cut,
-                    &sys.tracer,
-                    &sys.profiler,
-                );
-            }
-            if let Some((cycle, msg)) = failure {
-                break Err((RunErrorKind::UnrecoverableFault, msg, cycle));
-            }
-            if let Some(q) = q_cycle {
-                if q < e_end {
-                    // The serial loop would have exited at Q, before the
-                    // ticks Q..e_end — all idle ticks on a quiescent
-                    // machine — and before any end-of-epoch check. Roll
-                    // the overshoot back.
-                    if let Some(t) = &mut coord {
-                        t.switch(HostPhase::Quiescence);
-                    }
-                    for cell in &cells {
-                        cell.lock().unwrap().retract_idle(q, e_end);
-                    }
-                    break Ok(q);
-                }
-            }
-            // End-of-epoch checks, in exact serial order and on the exact
-            // serial state (every node has now reached e_end).
-            if let Some(t) = &mut coord {
-                t.switch(HostPhase::Checks);
-            }
-            {
-                let guards: Vec<_> = cells.iter().map(|c| c.lock().unwrap()).collect();
-                let view: Vec<&Node> = guards.iter().map(|g| &**g).collect();
-                if let Some(m) = &mut metrics {
-                    m.sample(sys.cfg.app_threads, &view, sys.network.as_ref(), e_end - 1);
-                }
-                if e_end.is_multiple_of(WATCHDOG_INTERVAL) {
-                    if let Some((kind, msg)) = wd.check(
-                        &view,
-                        sys.network.as_ref(),
-                        app_done_at.is_some(),
-                        &sys.tracer,
-                        e_end,
-                    ) {
-                        break Err((kind, msg, e_end));
-                    }
-                }
-                if let Some(every) = sys.invariant_every {
-                    if e_end.is_multiple_of(every) {
-                        if let Some(msg) = coherence_violation(&view) {
-                            break Err((RunErrorKind::UnrecoverableFault, msg, e_end));
-                        }
-                    }
-                }
-            }
-            if e_end >= max_cycles {
-                break Err((
-                    RunErrorKind::Deadlock,
-                    format!(
-                        "{:?} {} x{} ({}-way) did not quiesce in {max_cycles} cycles",
-                        sys.cfg.model, sys.app, sys.cfg.nodes, sys.cfg.app_threads
-                    ),
-                    e_end,
-                ));
-            }
-            if q_cycle == Some(e_end) {
-                break Ok(e_end);
-            }
-            if let Some(t) = &mut coord {
-                t.switch(HostPhase::Other);
-                t.end_epoch();
-            }
-            if sys.heartbeat.as_ref().is_some_and(|hb| hb.due(e_end)) {
-                // Per-worker utilization over the interval since the last
-                // beat: tick nanoseconds against coordinator wall-clock.
-                let now_wall = Instant::now();
-                let dt_ns = now_wall.duration_since(hb_last_wall).as_nanos().max(1) as f64;
-                let util: Vec<f64> = (0..workers)
-                    .map(|w| (hb_cum_tick[w] - hb_last_tick[w]) as f64 / dt_ns)
-                    .collect();
-                hb_last_tick.copy_from_slice(&hb_cum_tick);
-                hb_last_wall = now_wall;
-                let hb = sys.heartbeat.as_mut().expect("dueness checked");
-                hb.emit(e_end, "parallel", workers, epochs, &util);
-            }
-            e_start = e_end;
+    let nodes = std::mem::take(&mut sys.nodes);
+    let mut profiles = Vec::new();
+    let outcome = if workers == 1 {
+        let mut x = Inline {
+            lane: Lane::new(0, nodes, start_now),
         };
-        {
-            let mut pl = plan.lock().unwrap();
-            pl.start = 0;
-            pl.end = 0;
-            pl.stop = true;
-        }
-        barrier.wait();
+        let outcome = drive(sys, &mut run, &mut x, max_cycles);
+        sys.nodes = x.lane.nodes;
         outcome
-    });
-    debug_assert!(pending_events.is_empty() && pending_prof.is_empty());
-
-    // Reassemble the machine.
-    sys.nodes = cells
-        .into_iter()
-        .map(|m| m.into_inner().expect("worker panicked holding a node"))
-        .collect();
-    sys.sync = gate.sync.into_inner().expect("sync lock poisoned");
-    sys.metrics = metrics;
-    sys.watchdog = wd;
-    sys.app_done_at = app_done_at;
+    } else {
+        run_threaded(sys, &mut run, nodes, max_cycles, &mut profiles)
+    };
     sys.quiet_nodes = sys.nodes.iter().filter(|n| n.quiescent()).count();
     sys.finished_nodes = sys.nodes.iter().filter(|n| n.app_finished()).count();
-    let end_now = match &outcome {
-        Ok(q) => *q,
-        Err((_, _, cycle)) => *cycle,
+    sys.now = match outcome {
+        Ok(q) => q,
+        Err((_, _, cycle)) => cycle,
     };
     if let Some(hb) = &mut sys.heartbeat {
-        // Final liveness record at the run end, closing the log even when
-        // the run never crossed a heartbeat interval.
-        let now_wall = Instant::now();
-        let dt_ns = now_wall.duration_since(hb_last_wall).as_nanos().max(1) as f64;
-        let util: Vec<f64> = (0..workers)
-            .map(|w| (hb_cum_tick[w] - hb_last_tick[w]) as f64 / dt_ns)
-            .collect();
-        hb.emit(end_now, "parallel", workers, epochs, &util);
+        // Final liveness record, closing the log even when the run never
+        // crossed a heartbeat interval.
+        let util = run.utilization();
+        hb.emit(sys.now, label, workers, run.epochs, &util);
     }
-    if let Some(t) = coord {
-        let mut lanes = vec![t.finish("coord")];
-        let mut wl = lanes_out.into_inner().expect("lanes lock poisoned");
-        wl.sort_by_key(|&(w, _)| w);
-        lanes.extend(wl.into_iter().map(|(_, l)| l));
-        let _ = rebalances; // reported via the imbalance histogram today
+    if let Some(t) = run.timer {
+        profiles.insert(0, t.finish(if workers == 1 { "inline" } else { "coord" }));
         sys.host_profile = Some(HostProfile {
-            engine: "parallel".to_string(),
+            engine: label.to_string(),
             workers,
-            epochs,
-            lookahead,
-            sim_cycles: end_now.saturating_sub(start_now),
-            wall_ns: lanes[0].total_ns,
-            lanes,
-            epoch_cycles,
-            barrier_msgs,
-            imbalance_x1000,
-            ticked_cycles,
-            skipped_cycles,
+            epochs: run.epochs,
+            lookahead: run.lookahead,
+            sim_cycles: sys.now.saturating_sub(start_now),
+            wall_ns: profiles[0].total_ns,
+            lanes: profiles,
+            epoch_cycles: run.epoch_cycles,
+            barrier_msgs: run.barrier_msgs,
+            imbalance_x1000: run.imbalance_x1000,
+            ticked_cycles: run.ticked_cycles,
+            skipped_cycles: run.skipped_cycles,
         });
     }
+    sys.tracer.flush();
     match outcome {
-        Ok(q) => {
-            sys.now = q;
-            sys.tracer.flush();
-            Ok(sys.collect())
-        }
-        Err((kind, msg, cycle)) => {
-            sys.now = cycle;
-            sys.tracer.flush();
-            Err(sys.run_error(kind, msg))
-        }
+        Ok(_) => Ok(sys.collect()),
+        Err((kind, msg, _)) => Err(sys.run_error(kind, msg)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn balanced_fence_splits_by_weight() {
-        // Heavy head: the first worker should get fewer nodes.
-        let f = balanced_fence(&[100, 1, 1, 1, 1, 1, 1, 1], 2);
-        assert_eq!(f, vec![0, 1, 8]);
-        // Uniform load: near-even split.
-        let f = balanced_fence(&[10; 8], 4);
-        assert_eq!(f, vec![0, 2, 4, 6, 8]);
-        // Zero load still yields non-empty partitions.
-        let f = balanced_fence(&[0; 4], 4);
-        assert_eq!(f, vec![0, 1, 2, 3, 4]);
-        // More extreme skew than workers can fix: every partition keeps
-        // at least one node.
-        let f = balanced_fence(&[0, 0, 0, 1000], 4);
-        assert_eq!(f.len(), 5);
-        for w in 0..4 {
-            assert!(f[w] < f[w + 1], "empty partition in {f:?}");
-        }
-    }
 
     #[test]
     fn chunk_covers_all_nodes() {
@@ -1144,15 +1161,15 @@ mod tests {
         }
     }
 
-    /// Both engines lean on the same contract: once the machine reports
+    /// The exit path leans on this contract: once the machine reports
     /// quiescent, overshooting it by extra ticks and then retracting the
     /// idle bookkeeping ([`crate::node::Node::retract_idle`], exactly
-    /// what the parallel engine does when an epoch runs past the exact
-    /// quiescence point) leaves *nothing* observable behind. This holds
-    /// the contract to account for the `sb_drain_app` hole (a finished
-    /// thread's last stores still draining to L1d after `quiesced()`
-    /// went true, each drain an un-retractable cache access), which
-    /// surfaced as a 64-node stats divergence.
+    /// what the engine does when an epoch runs past the exact quiescence
+    /// point) leaves *nothing* observable behind. This holds the contract
+    /// to account for the `sb_drain_app` hole (a finished thread's last
+    /// stores still draining to L1d after `quiesced()` went true, each
+    /// drain an un-retractable cache access), which surfaced as a 64-node
+    /// stats divergence.
     #[test]
     #[ignore = "minutes in a debug build; CI runs it in release via the engine-scaling leg"]
     fn quiesced_machine_ticks_are_inert() {

@@ -158,6 +158,55 @@ pub fn try_run_experiment(e: &ExperimentConfig) -> Result<RunStats, RunError> {
     build_system(e).run_with(e.max_cycles, e.engine)
 }
 
+/// The differential-testing helper: run `e` on the tick-everything
+/// reference loop ([`System::run_reference`]), on [`EngineKind::Serial`]
+/// (inline) and on [`EngineKind::Parallel`] (threads, for `e.workers` > 1),
+/// and assert that what `observe` extracts from each engine run equals what
+/// it extracts from the reference run, which is returned. `arm` attaches
+/// sinks and switches to each freshly built machine and may hand `observe`
+/// a handle to them.
+///
+/// # Panics
+///
+/// Panics, naming `label` and the first divergence, if an engine differs.
+#[doc(hidden)]
+pub fn assert_engines_match_reference<A, T: PartialEq + std::fmt::Debug>(
+    e: &ExperimentConfig,
+    label: &str,
+    arm: impl Fn(&mut System) -> A,
+    observe: impl Fn(&mut System, A, Result<RunStats, RunError>) -> T,
+) -> T {
+    let leg = |engine: Option<EngineKind>| {
+        let mut sys = build_system(e);
+        let armed = arm(&mut sys);
+        let res = match engine {
+            None => sys.run_reference(e.max_cycles),
+            Some(engine) => sys.run_with(e.max_cycles, engine),
+        };
+        observe(&mut sys, armed, res)
+    };
+    let oracle = leg(None);
+    for engine in [EngineKind::Serial, EngineKind::Parallel] {
+        let got = leg(Some(engine));
+        if got != oracle {
+            let (want, got) = (format!("{oracle:?}"), format!("{got:?}"));
+            let same = want.bytes().zip(got.bytes()).take_while(|(a, b)| a == b);
+            let at = same.count();
+            let around = |s: &str| {
+                let bytes = &s.as_bytes()[at.saturating_sub(120)..s.len().min(at + 120)];
+                String::from_utf8_lossy(bytes).into_owned()
+            };
+            panic!(
+                "[{label}] {engine} engine diverged from the reference loop at byte {at}:\n  \
+                 reference: ...{}\n  {engine}: ...{}",
+                around(&want),
+                around(&got)
+            );
+        }
+    }
+    oracle
+}
+
 /// Normalized execution times of all five machine models for one
 /// (app, nodes, ways) point — one group of bars in the paper's figures.
 /// Returns `(model, total_norm, memory_stall_norm)` with `Base = 1.0`.

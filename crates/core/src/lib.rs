@@ -22,7 +22,7 @@ pub mod report;
 pub mod stats;
 pub mod system;
 
-pub use engine::{EngineKind, EngineTuning};
+pub use engine::EngineKind;
 pub use error::{Diagnosis, RunError, RunErrorKind};
 pub use experiment::{build_system, run_experiment, try_run_experiment, ExperimentConfig};
 pub use json::{JsonError, JsonValue};

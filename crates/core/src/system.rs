@@ -1,23 +1,20 @@
 //! The full-machine simulator: nodes + interconnect + global clock.
 
-use crate::engine::{EngineKind, EngineTuning};
+use crate::engine::EngineKind;
 use crate::error::{Diagnosis, RunError, RunErrorKind};
 use crate::node::Node;
 use crate::stats::RunStats;
 use smtp_noc::{Msg, Network};
 use smtp_protocol::DirState;
-use smtp_trace::{
-    Category, CausalSpans, Event, Heartbeat, HostPhase, HostProfile, IntervalSampler, PhaseTimer,
-    Tracer,
-};
+use smtp_trace::{Category, CausalSpans, Event, Heartbeat, HostProfile, IntervalSampler, Tracer};
 use smtp_types::Ctx;
-use smtp_types::{Cycle, FaultSummary, Histogram, NodeId, PhaseProfiler, SystemConfig};
+use smtp_types::{Cycle, FaultSummary, NodeId, PhaseProfiler, SystemConfig};
 use smtp_workloads::{AppKind, SyncManager, ThreadGen, WorkloadCfg};
 
-/// Cycles between forward-progress checks. The epoch engine cuts its
-/// windows on this schedule, and the serial loop's gate is a divisibility
-/// test — both assume (and the assertion below guarantees) a power of two,
-/// so the hot-path test compiles to a mask.
+/// Cycles between forward-progress checks. The engine cuts its epochs on
+/// this schedule, and the reference loop's gate is a divisibility test —
+/// both assume (and the assertion below guarantees) a power of two, so the
+/// hot-path test compiles to a mask.
 pub(crate) const WATCHDOG_INTERVAL: Cycle = 8192;
 
 // A silently wrong watchdog schedule is worse than a build break: the gate
@@ -55,8 +52,8 @@ impl Watchdog {
     /// One watchdog check: escalate through warning trace events to a
     /// structured failure `(kind, message)`. Read-only on simulation state
     /// — a healthy run behaves identically with the watchdog present.
-    /// Takes a node *view* rather than `&System` so both execution engines
-    /// can drive it (the parallel engine holds its nodes behind locks).
+    /// Takes a node *view* rather than `&System` because the engine holds
+    /// the nodes in its lanes while it runs.
     pub(crate) fn check(
         &mut self,
         nodes: &[&Node],
@@ -161,6 +158,20 @@ pub(crate) fn coherence_violation(nodes: &[&Node]) -> Option<String> {
     None
 }
 
+/// The failure a message bound for a remote node raises on a 1-node
+/// machine (no network: the address map or protocol is broken).
+pub(crate) fn no_network(id: NodeId, now: Cycle) -> String {
+    format!("network message emitted on a 1-node machine by {id:?} at cycle {now}")
+}
+
+/// The deadlock message of a run that exhausts its cycle budget.
+pub(crate) fn budget_exhausted(sys: &System, max_cycles: Cycle) -> String {
+    format!(
+        "{:?} {} x{} ({}-way) did not quiesce in {max_cycles} cycles",
+        sys.cfg.model, sys.app, sys.cfg.nodes, sys.cfg.app_threads
+    )
+}
+
 /// Injected-fault and recovery counters across a node view plus network.
 pub(crate) fn fault_summary_of(nodes: &[&Node], network: Option<&Network>) -> FaultSummary {
     let mut s = network.map(|n| n.fault_counters()).unwrap_or_default();
@@ -248,9 +259,9 @@ impl MetricsState {
 
 /// A complete simulated DSM machine running one application.
 ///
-/// Fields are crate-visible so the execution engines
-/// ([`crate::engine`]) can take the machine apart (nodes onto worker
-/// threads, synchronization fabric behind a gate) and reassemble it.
+/// Fields are crate-visible so the execution engine ([`crate::engine`])
+/// can take the machine apart (nodes into lanes, synchronization fabric
+/// behind a gate when threads share it) and reassemble it.
 pub struct System {
     pub(crate) cfg: SystemConfig,
     pub(crate) app: AppKind,
@@ -271,26 +282,21 @@ pub struct System {
     pub(crate) quiet_nodes: usize,
     /// Nodes whose application threads have all finished (monotone).
     pub(crate) finished_nodes: usize,
-    /// Reusable outbox drain buffer: the run loop used to allocate a fresh
-    /// `Vec` per node per cycle via `Node::take_outbox`.
+    /// Reusable outbox drain buffer of [`System::tick`].
     pub(crate) outbox_scratch: Vec<(Cycle, Msg)>,
-    /// Structured failure recorded mid-tick (e.g. a network message on a
-    /// 1-node machine, which used to be an assert), surfaced by the run
-    /// loop as a [`RunError`] with a full [`Diagnosis`].
+    /// Structured failure recorded mid-[`System::tick`] (a network message
+    /// on a 1-node machine), surfaced by [`System::run_reference`] as a
+    /// [`RunError`] with a full [`Diagnosis`].
     pub(crate) pending_error: Option<String>,
-    /// Host-side telemetry enabled: the execution engines stamp a
-    /// monotonic clock at run-loop phase transitions and leave a
-    /// [`HostProfile`] behind. Strictly host-side — guest results are
-    /// bit-identical either way.
+    /// Host-side telemetry enabled: the engine stamps a monotonic clock at
+    /// run-loop phase transitions and leaves a [`HostProfile`] behind.
+    /// Strictly host-side — guest results are bit-identical either way.
     pub(crate) telemetry: bool,
     /// Live-run heartbeat emitter, if [`System::enable_heartbeat`] was
     /// called (implies telemetry).
     pub(crate) heartbeat: Option<Heartbeat>,
     /// The profile of the most recent telemetry-enabled run.
     pub(crate) host_profile: Option<HostProfile>,
-    /// Host-side tuning knobs for the parallel epoch engine. Guest
-    /// results are bit-identical for every setting.
-    pub(crate) tuning: EngineTuning,
 }
 
 impl std::fmt::Debug for System {
@@ -402,7 +408,6 @@ impl System {
             telemetry: false,
             heartbeat: None,
             host_profile: None,
-            tuning: EngineTuning::default(),
         }
     }
 
@@ -482,7 +487,7 @@ impl System {
     /// hot-line list after the run. The per-home heatmap and per-link
     /// utilization matrix are collected regardless; this only arms the
     /// per-line layer. Counters mutate exclusively on real protocol/cache
-    /// activity, so serial and parallel runs stay bit-identical.
+    /// activity, so runs stay bit-identical across engines.
     pub fn enable_spatial(&mut self, top_k: usize) {
         for n in &mut self.nodes {
             n.directory.enable_spatial(top_k);
@@ -543,7 +548,9 @@ impl System {
         self.now
     }
 
-    /// Advance one cycle.
+    /// Advance every node one cycle, in index order. The engine does not
+    /// run on this (it skips provably idle node-cycles);
+    /// [`System::run_reference`], white-box tests and benchmarks do.
     pub fn tick(&mut self) {
         let now = self.now;
         if let Some(net) = &mut self.network {
@@ -571,15 +578,12 @@ impl System {
                     net.inject(at.max(now), msg);
                 }
             } else if !self.outbox_scratch.is_empty() {
-                // A 1-node machine has no network; a message bound for a
-                // remote node means the address map or protocol is broken.
                 // Record a structured failure for the run loop instead of
                 // crashing mid-tick.
                 let id = node.id();
                 self.outbox_scratch.clear();
-                self.pending_error.get_or_insert_with(|| {
-                    format!("network message emitted on a 1-node machine by {id:?} at cycle {now}")
-                });
+                self.pending_error
+                    .get_or_insert_with(|| no_network(id, now));
             }
         }
         if self.app_done_at.is_none() && self.finished_nodes == self.nodes.len() {
@@ -620,10 +624,10 @@ impl System {
         self.invariant_every = Some(every.max(1));
     }
 
-    /// Turn on host-side engine telemetry: the run loop stamps a monotonic
-    /// clock at every phase transition (tick/compute, barrier waits,
-    /// merge, capture/injection replay, quiescence retraction, checks) and
-    /// leaves a [`HostProfile`] behind — per-lane wall-clock attribution
+    /// Turn on host-side engine telemetry: [`System::run_with`] stamps a
+    /// monotonic clock at every phase transition (tick/compute, barrier
+    /// waits, merge, capture/injection replay, quiescence retraction,
+    /// checks) and leaves a [`HostProfile`] behind — per-lane attribution
     /// whose phase sums telescope to the lane totals, plus per-epoch
     /// counters (epoch length, ticked vs. idle-skipped node-cycles,
     /// barrier message counts, worker imbalance). Strictly host-side:
@@ -645,20 +649,6 @@ impl System {
         self.heartbeat = Some(Heartbeat::new(every, out));
     }
 
-    /// Set the parallel engine's host-side tuning knobs (adaptive epoch
-    /// bound, periodic load-driven repartitioning). Strictly a wall-clock
-    /// matter: guest-visible results are bit-identical for every setting,
-    /// which the `engine_equivalence` grid enforces. The serial engine
-    /// ignores tuning entirely.
-    pub fn set_engine_tuning(&mut self, tuning: EngineTuning) {
-        self.tuning = tuning;
-    }
-
-    /// The parallel engine tuning currently in effect.
-    pub fn engine_tuning(&self) -> EngineTuning {
-        self.tuning
-    }
-
     /// The host-side profile of the most recent run, if
     /// [`System::enable_host_telemetry`] (or the heartbeat) was on.
     pub fn host_profile(&self) -> Option<&HostProfile> {
@@ -670,177 +660,77 @@ impl System {
         self.host_profile.take()
     }
 
-    /// Run to completion on the serial reference engine. `Ok` carries the
-    /// collected statistics; `Err` carries the failure class
-    /// ([`RunErrorKind`]) and a machine-state [`Diagnosis`]. The escalating
-    /// forward-progress watchdog converts deadlocks, livelocks and
-    /// unrecoverable faults into structured errors; exhausting `max_cycles`
-    /// before quiescence reports as a deadlock. The tracer is flushed on
-    /// both paths.
+    /// Run to completion on one inline worker — [`System::run_with`] with
+    /// [`EngineKind::Serial`]. `Ok` carries the collected statistics; `Err`
+    /// carries the failure class ([`RunErrorKind`]) and a machine-state
+    /// [`Diagnosis`]. The escalating forward-progress watchdog converts
+    /// deadlocks, livelocks and unrecoverable faults into structured
+    /// errors; exhausting `max_cycles` before quiescence reports as a
+    /// deadlock. The tracer is flushed on both paths.
     pub fn run(&mut self, max_cycles: Cycle) -> Result<RunStats, RunError> {
         self.run_with(max_cycles, EngineKind::Serial)
     }
 
-    /// Run to completion on the chosen execution engine. Both engines
-    /// produce bit-identical statistics, trace streams and fault behavior;
-    /// [`EngineKind::Parallel`] is a performance choice, not a semantic
-    /// one.
+    /// Run to completion on the epoch engine ([`crate::engine`]): idle
+    /// node-cycles are skipped, and `engine` only chooses how many host
+    /// threads advance the nodes — inline on the calling thread for
+    /// [`EngineKind::Serial`], `workers` threads for
+    /// [`EngineKind::Parallel`] (which also runs inline when that comes to
+    /// one). Statistics, trace streams, metrics rows and failures are
+    /// bit-identical for every choice; it is a wall-clock matter only.
     pub fn run_with(
         &mut self,
         max_cycles: Cycle,
         engine: EngineKind,
     ) -> Result<RunStats, RunError> {
-        match engine {
-            EngineKind::Serial => self.run_serial(max_cycles),
-            EngineKind::Parallel => crate::engine::run_parallel(self, max_cycles),
-        }
+        crate::engine::run(self, max_cycles, engine)
     }
 
-    fn run_serial(&mut self, max_cycles: Cycle) -> Result<RunStats, RunError> {
-        // Host telemetry for the serial reference loop, in the same
-        // HostProfile shape the parallel engine produces: one lane, no
-        // barrier phases, with WATCHDOG_INTERVAL segments standing in as
-        // "epochs" so per-epoch histograms are directly comparable.
-        self.host_profile = None;
-        let mut timer = self.telemetry.then(|| PhaseTimer::new(HostPhase::Tick));
-        let mut epoch_cycles = Histogram::new();
-        let mut epochs: u64 = 0;
-        let start_cycle = self.now;
-        let mut epoch_start = self.now;
-        if let Some(hb) = &mut self.heartbeat {
-            hb.start(start_cycle);
-            // Initial liveness record at the run start, so even a run
-            // shorter than one heartbeat interval leaves a line-complete
-            // log.
-            hb.emit(start_cycle, "serial", 1, 0, &[0.0]);
-        }
-        let res: Result<(), RunError> = 'run: {
-            while !self.quiesced() {
-                self.tick();
-                if let Some(msg) = self.pending_error.take() {
-                    break 'run Err(self.run_error(RunErrorKind::UnrecoverableFault, msg));
-                }
-                if self.now.is_multiple_of(WATCHDOG_INTERVAL) {
-                    if let Some(t) = &mut timer {
-                        t.switch(HostPhase::Checks);
-                    }
-                    let fail = self.watchdog_check();
-                    if let Some(t) = &mut timer {
-                        t.switch(HostPhase::Other);
-                        epoch_cycles.record(self.now - epoch_start);
-                        t.end_epoch();
-                        epochs += 1;
-                        epoch_start = self.now;
-                        if self.heartbeat.as_ref().is_some_and(|hb| hb.due(self.now)) {
-                            // Serial "utilization" is the loop's tick share
-                            // of wall-clock so far.
-                            t.flush();
-                            let all_ns = t.charged_ns();
-                            let util = if all_ns == 0 {
-                                0.0
-                            } else {
-                                t.phase_total_ns(HostPhase::Tick) as f64 / all_ns as f64
-                            };
-                            let mut hb = self.heartbeat.take().expect("dueness checked");
-                            hb.emit(self.now, "serial", 1, epochs, &[util]);
-                            self.heartbeat = Some(hb);
-                        }
-                        t.switch(HostPhase::Tick);
-                    }
-                    if let Some(err) = fail {
-                        break 'run Err(err);
-                    }
-                }
-                if let Some(every) = self.invariant_every {
-                    if self.now.is_multiple_of(every) {
-                        if let Some(t) = &mut timer {
-                            t.switch(HostPhase::Checks);
-                        }
-                        let fail = self.check_coherence();
-                        if let Some(t) = &mut timer {
-                            t.switch(HostPhase::Tick);
-                        }
-                        if let Some(err) = fail {
-                            break 'run Err(err);
-                        }
-                    }
-                }
-                if self.now >= max_cycles {
-                    break 'run Err(self.run_error(
-                        RunErrorKind::Deadlock,
-                        format!(
-                            "{:?} {} x{} ({}-way) did not quiesce in {max_cycles} cycles",
-                            self.cfg.model, self.app, self.cfg.nodes, self.cfg.app_threads
-                        ),
-                    ));
+    /// The tick-everything reference loop: every node ticked every cycle
+    /// through [`System::tick`], with the scheduled checks and nothing else
+    /// — no epochs, no idle skipping, no telemetry. It is the oracle the
+    /// engine is tested against and deliberately not an [`EngineKind`]: no
+    /// flag, environment variable or configuration selects it.
+    #[doc(hidden)]
+    pub fn run_reference(&mut self, max_cycles: Cycle) -> Result<RunStats, RunError> {
+        let res = loop {
+            if self.quiesced() {
+                break Ok(());
+            }
+            self.tick();
+            if let Some(msg) = self.pending_error.take() {
+                break Err((RunErrorKind::UnrecoverableFault, msg));
+            }
+            if self.now.is_multiple_of(WATCHDOG_INTERVAL) {
+                let app_done = self.app_done_at.is_some();
+                let nodes: Vec<&Node> = self.nodes.iter().collect();
+                let network = self.network.as_ref();
+                let fail = self
+                    .watchdog
+                    .check(&nodes, network, app_done, &self.tracer, self.now);
+                if let Some(fail) = fail {
+                    break Err(fail);
                 }
             }
-            Ok(())
+            if self
+                .invariant_every
+                .is_some_and(|n| self.now.is_multiple_of(n))
+            {
+                let nodes: Vec<&Node> = self.nodes.iter().collect();
+                if let Some(msg) = coherence_violation(&nodes) {
+                    break Err((RunErrorKind::UnrecoverableFault, msg));
+                }
+            }
+            if self.now >= max_cycles {
+                let msg = budget_exhausted(self, max_cycles);
+                break Err((RunErrorKind::Deadlock, msg));
+            }
         };
         self.tracer.flush();
-        if let Some(mut t) = timer {
-            if self.now > epoch_start {
-                // Close the final partial epoch.
-                t.flush();
-                epoch_cycles.record(self.now - epoch_start);
-                t.end_epoch();
-                epochs += 1;
-            }
-            if self.heartbeat.is_some() {
-                // Final liveness record at the run end, closing the log
-                // even when the run never crossed a heartbeat interval.
-                t.flush();
-                let all_ns = t.charged_ns();
-                let util = if all_ns == 0 {
-                    0.0
-                } else {
-                    t.phase_total_ns(HostPhase::Tick) as f64 / all_ns as f64
-                };
-                let mut hb = self.heartbeat.take().expect("checked");
-                hb.emit(self.now, "serial", 1, epochs, &[util]);
-                self.heartbeat = Some(hb);
-            }
-            let lane = t.finish("serial");
-            let sim_cycles = self.now - start_cycle;
-            self.host_profile = Some(HostProfile {
-                engine: "serial".to_string(),
-                workers: 1,
-                epochs,
-                lookahead: 0,
-                sim_cycles,
-                wall_ns: lane.total_ns,
-                lanes: vec![lane],
-                epoch_cycles,
-                barrier_msgs: Histogram::new(),
-                imbalance_x1000: Histogram::new(),
-                // The serial loop ticks every node every cycle; it never
-                // idle-skips.
-                ticked_cycles: sim_cycles * self.nodes.len() as u64,
-                skipped_cycles: 0,
-            });
+        match res {
+            Ok(()) => Ok(self.collect()),
+            Err((kind, msg)) => Err(self.run_error(kind, msg)),
         }
-        res.map(|()| self.collect())
-    }
-
-    fn watchdog_check(&mut self) -> Option<RunError> {
-        let nodes: Vec<&Node> = self.nodes.iter().collect();
-        let fail = self.watchdog.check(
-            &nodes,
-            self.network.as_ref(),
-            self.app_done_at.is_some(),
-            &self.tracer,
-            self.now,
-        );
-        drop(nodes);
-        let (kind, msg) = fail?;
-        Some(self.run_error(kind, msg))
-    }
-
-    fn check_coherence(&self) -> Option<RunError> {
-        let nodes: Vec<&Node> = self.nodes.iter().collect();
-        let msg = coherence_violation(&nodes)?;
-        drop(nodes);
-        Some(self.run_error(RunErrorKind::UnrecoverableFault, msg))
     }
 
     /// Injected-fault and recovery counters across the whole machine.

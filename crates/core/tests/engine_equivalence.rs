@@ -1,97 +1,43 @@
-//! Serial-vs-parallel engine equivalence.
+//! Engine-vs-reference equivalence.
 //!
-//! The parallel epoch engine promises results *bit-identical* to the
-//! serial reference loop: the same `RunStats` (down to every latency
-//! histogram and fault counter), the same trace event stream, and the
-//! same metrics sample rows, for every seed, node count and fault plan.
-//! These tests hold it to that promise over a grid of machine shapes,
-//! and pin down the idle-skipping schedules (a skip must never jump past
-//! a scheduled network arrival, a fault window, or a sampler tick — any
-//! overshoot shows up as a diverging trace or sample row).
+//! The epoch engine promises results *bit-identical* to the
+//! tick-everything reference loop (`System::run_reference`), whether it
+//! runs inline (`Serial`) or on threads (`Parallel`): the same `RunStats`
+//! (down to every latency histogram and fault counter), the same trace
+//! event stream, and the same metrics sample rows, for every seed, node
+//! count, worker count and fault plan. These tests hold it to that promise
+//! over a grid of machine shapes and a seeded random sweep, and pin down
+//! the idle-skipping schedules (a skip must never jump past a scheduled
+//! network arrival, a fault window, or a sampler tick — any overshoot
+//! shows up as a diverging trace or sample row).
 
-use smtp_core::{build_system, EngineKind, EngineTuning, ExperimentConfig};
-use smtp_trace::{Event, MemorySink};
-use smtp_types::{Cycle, FaultConfig, MachineModel, SystemConfig};
+use smtp_core::experiment::assert_engines_match_reference;
+use smtp_core::ExperimentConfig;
+use smtp_trace::MemorySink;
+use smtp_types::{Cycle, FaultConfig, MachineModel, SplitMix64, SystemConfig};
 use smtp_workloads::AppKind;
 
-/// Everything observable from one run: stats (Debug-formatted, so every
-/// field participates), the full trace stream, and any metrics rows.
-struct Observed {
-    stats: String,
-    events: Vec<(Cycle, Event)>,
-    metrics: Vec<(Cycle, Vec<f64>)>,
-}
-
-fn observe(e: &ExperimentConfig, engine: EngineKind, metrics_interval: Option<Cycle>) -> Observed {
-    observe_tuned(e, engine, metrics_interval, EngineTuning::default())
-}
-
-fn observe_tuned(
-    e: &ExperimentConfig,
-    engine: EngineKind,
-    metrics_interval: Option<Cycle>,
-    tuning: EngineTuning,
-) -> Observed {
-    let mut sys = build_system(e);
-    sys.set_engine_tuning(tuning);
-    sys.tracer().enable_all();
-    let store = MemorySink::shared();
-    sys.tracer().add_sink(Box::new(MemorySink::attach(&store)));
-    if let Some(interval) = metrics_interval {
-        sys.enable_metrics(interval);
-    }
-    let stats = sys
-        .run_with(e.max_cycles, engine)
-        .unwrap_or_else(|err| panic!("{engine} engine failed: {err}"));
-    let metrics = sys.metrics().map(|s| s.rows().to_vec()).unwrap_or_default();
-    let events = store.borrow().clone();
-    Observed {
-        stats: format!("{stats:?}"),
-        events,
-        metrics,
-    }
-}
-
+/// Everything observable from one run — stats or structured error
+/// (Debug-formatted, so every field participates), the full trace stream,
+/// and any metrics rows — must match the reference loop's on both engines.
 fn assert_equivalent(e: &ExperimentConfig, metrics_interval: Option<Cycle>, label: &str) {
-    assert_equivalent_tuned(e, metrics_interval, EngineTuning::default(), label);
-}
-
-fn assert_equivalent_tuned(
-    e: &ExperimentConfig,
-    metrics_interval: Option<Cycle>,
-    tuning: EngineTuning,
-    label: &str,
-) {
-    let serial = observe(e, EngineKind::Serial, metrics_interval);
-    let parallel = observe_tuned(e, EngineKind::Parallel, metrics_interval, tuning);
-    if serial.stats != parallel.stats {
-        let i = serial
-            .stats
-            .bytes()
-            .zip(parallel.stats.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or(serial.stats.len().min(parallel.stats.len()));
-        let lo = i.saturating_sub(120);
-        panic!(
-            "[{label}] RunStats diverged between engines at byte {i}:\n  serial:   ...{}\n  parallel: ...{}",
-            &serial.stats[lo..(i + 120).min(serial.stats.len())],
-            &parallel.stats[lo..(i + 120).min(parallel.stats.len())],
-        );
-    }
-    assert_eq!(
-        serial.events.len(),
-        parallel.events.len(),
-        "[{label}] trace stream length diverged"
-    );
-    if let Some(i) = (0..serial.events.len()).find(|&i| serial.events[i] != parallel.events[i]) {
-        panic!(
-            "[{label}] trace streams diverge at event {i}:\n  serial:   {:?}\n  parallel: {:?}",
-            serial.events[i], parallel.events[i]
-        );
-    }
-    assert_eq!(
-        serial.metrics, parallel.metrics,
-        "[{label}] metrics sample rows diverged"
+    assert_engines_match_reference(
+        e,
+        label,
+        |sys| {
+            sys.tracer().enable_all();
+            let store = MemorySink::shared();
+            sys.tracer().add_sink(Box::new(MemorySink::attach(&store)));
+            if let Some(interval) = metrics_interval {
+                sys.enable_metrics(interval);
+            }
+            store
+        },
+        |sys, store, res| {
+            let metrics = sys.metrics().map(|s| s.rows().to_vec()).unwrap_or_default();
+            let events = store.borrow().clone();
+            (format!("{res:?}"), events, metrics)
+        },
     );
 }
 
@@ -154,7 +100,7 @@ fn four_nodes_with_faults_match() {
 /// Idle-skipping must not jump past sampler ticks: with a short sampling
 /// interval every epoch is cut at the sampler schedule, and the sampled
 /// utilization/occupancy rows (computed from exact cycle counters at the
-/// sample cycle) must match the serial engine row for row.
+/// sample cycle) must match the reference loop row for row.
 #[test]
 fn metrics_sampling_matches_under_idle_skip() {
     assert_equivalent(
@@ -170,57 +116,52 @@ fn metrics_sampling_matches_under_idle_skip() {
 }
 
 /// Error paths are part of the contract too: a run that hits the cycle
-/// limit must report the same structured Deadlock at the same cycle from
-/// both engines.
+/// limit must report the same structured Deadlock, at the same cycle with
+/// the same diagnosis and trace, from the reference loop and both engines.
 #[test]
 fn deadlock_diagnosis_matches() {
     let mut e = point(MachineModel::SMTp, 2, 1, None);
     e.max_cycles = 20_000;
-    let serial = build_system(&e)
-        .run_with(e.max_cycles, EngineKind::Serial)
-        .expect_err("20k cycles cannot complete the run");
-    let parallel = build_system(&e)
-        .run_with(e.max_cycles, EngineKind::Parallel)
-        .expect_err("20k cycles cannot complete the run");
-    assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
+    e.workers = Some(2);
+    assert_equivalent(&e, Some(3_000), "smtp x2 out of budget");
 }
 
-/// The tuning knobs are host-side only: every corner of the tuning space
-/// — the conservative static-bound fixed-partition engine, the defaults,
-/// and a deliberately twitchy configuration that reconsiders the
-/// partition after every single epoch — must stay bit-identical to the
-/// serial oracle, with and without chaos faults and sampling.
+/// A seeded sweep over the whole configuration space the engine branches
+/// on: machine model × application × 1–8 nodes × 1–2 ways × fault plan ×
+/// sampler × worker count (1 runs `Parallel` inline, 3 splits unevenly,
+/// 64 clamps to one worker per node — never an empty partition).
 #[test]
-fn tuning_grid_matches() {
-    let aggressive = EngineTuning {
-        adaptive_epochs: true,
-        rebalance_every: 1,
-        rebalance_threshold: 1.0,
-    };
-    let corners = [
-        ("conservative", EngineTuning::conservative()),
-        ("default", EngineTuning::default()),
-        ("aggressive", aggressive),
+fn differential_sweep_matches_reference() {
+    const APPS: [AppKind; 6] = [
+        AppKind::Fft,
+        AppKind::Fftw,
+        AppKind::Lu,
+        AppKind::Ocean,
+        AppKind::Radix,
+        AppKind::Water,
     ];
-    for (name, tuning) in corners {
-        assert_equivalent_tuned(
-            &point(MachineModel::SMTp, 4, 2, None),
-            None,
-            tuning,
-            &format!("smtp x4 {name}"),
+    let mut rng = SplitMix64::new(0x5EED_E9C4);
+    let mut pick = |n: u64| rng.below(n) as usize;
+    for i in 0..16u64 {
+        let model = MachineModel::ALL[pick(5)];
+        let mut e = ExperimentConfig::quick(model, APPS[pick(6)], 1 << pick(4), 1 + pick(2));
+        e.scale = 0.05;
+        e.workers = Some([1, 2, 3, 64][pick(4)]);
+        if pick(2) == 1 {
+            e.faults = FaultConfig::chaos(0xC0FFEE + i);
+        }
+        let sampler = (pick(2) == 1).then_some(1_500);
+        let label = format!(
+            "sweep {i}: {model:?} {} x{} {}-way workers={:?} chaos={} sampler={sampler:?}",
+            e.app, e.nodes, e.ways, e.workers, e.faults.enabled
         );
-        assert_equivalent_tuned(
-            &point(MachineModel::SMTp, 4, 1, Some(42)),
-            Some(1_000),
-            tuning,
-            &format!("smtp x4 chaos sampled {name}"),
-        );
+        assert_equivalent(&e, sampler, &label);
     }
 }
 
 /// A pinned worker count larger than the node count must clamp to one
 /// worker per node — never spawn empty partitions — and stay
-/// bit-identical to the serial oracle.
+/// bit-identical to the reference loop.
 #[test]
 fn worker_count_above_node_count_clamps() {
     let mut e = point(MachineModel::SMTp, 4, 2, None);
@@ -256,15 +197,12 @@ fn zero_workers_rejected_at_validation() {
 /// The 64-node bristled hypercube — past the paper's largest machine,
 /// and the scale that first exposed the store-drain quiescence hole
 /// (a node reported quiescent while its last stores were still draining
-/// to L1d, so the parallel engine's overshoot-and-retract past exact
-/// quiescence executed un-rewindable cache accesses). Both the static
-/// conservative bound and the full adaptive engine must match the
-/// serial oracle here.
+/// to L1d, so the engine's overshoot-and-retract past exact quiescence
+/// executed un-rewindable cache accesses).
 #[test]
 #[ignore = "tens of seconds in release, minutes in debug; CI runs it in release via the engine-scaling leg"]
 fn large_hypercube_matches() {
     let mut e = point(MachineModel::SMTp, 64, 2, None);
     e.scale = 0.02;
-    assert_equivalent_tuned(&e, None, EngineTuning::conservative(), "x64 conservative");
-    assert_equivalent_tuned(&e, None, EngineTuning::default(), "x64 adaptive");
+    assert_equivalent(&e, None, "x64");
 }

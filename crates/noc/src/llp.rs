@@ -59,9 +59,17 @@ pub(crate) enum PhysBody {
 }
 
 /// One physical packet in flight (heap-ordered by arrival cycle).
+///
+/// Packets arriving in the same cycle are ordered by when they were sent:
+/// the sending cycle, deliveries' sends (acks, retransmissions) before
+/// injections', then send order. That is the order a cycle-by-cycle loop
+/// sends them in, and unlike a bare counter it does not change when a run
+/// loop services an epoch's deliveries before replaying its injections.
 #[derive(Clone, Debug)]
 pub(crate) struct PhysPacket {
     pub at: Cycle,
+    /// `(cycle sent, sent by an injection)`.
+    pub sent: (Cycle, bool),
     pub pseq: u64,
     pub key: ChanKey,
     pub body: PhysBody,
@@ -69,7 +77,7 @@ pub(crate) struct PhysPacket {
 
 impl PartialEq for PhysPacket {
     fn eq(&self, other: &Self) -> bool {
-        (self.at, self.pseq) == (other.at, other.pseq)
+        (self.at, self.sent, self.pseq) == (other.at, other.sent, other.pseq)
     }
 }
 
@@ -77,7 +85,7 @@ impl Eq for PhysPacket {}
 
 impl Ord for PhysPacket {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.pseq).cmp(&(other.at, other.pseq))
+        (self.at, self.sent, self.pseq).cmp(&(other.at, other.sent, other.pseq))
     }
 }
 
@@ -186,10 +194,12 @@ impl Llp {
         }
     }
 
-    /// Queue a physical packet arriving at `at`.
-    pub fn push_phys(&mut self, at: Cycle, key: ChanKey, body: PhysBody) {
+    /// Queue a physical packet sent at `sent.0` (by an injection if
+    /// `sent.1`, else while servicing deliveries) and arriving at `at`.
+    pub fn push_phys(&mut self, sent: (Cycle, bool), at: Cycle, key: ChanKey, body: PhysBody) {
         self.phys.push(Reverse(PhysPacket {
             at,
+            sent,
             pseq: self.pseq,
             key,
             body,
@@ -407,6 +417,7 @@ mod tests {
         l.track_unacked(KEY, 0, msg(), 0, 0);
         assert_eq!(l.next_event(), Some(100));
         l.push_phys(
+            (0, true),
             40,
             KEY,
             PhysBody::Data {

@@ -436,6 +436,7 @@ impl Network {
                     .emit(Category::Fault, now, || fault_ev(LinkFaultClass::Corrupt));
             }
             llp.push_phys(
+                (now, !retransmit),
                 cur,
                 key,
                 PhysBody::Data {
@@ -451,6 +452,7 @@ impl Network {
             self.tracer
                 .emit(Category::Fault, now, || fault_ev(LinkFaultClass::Duplicate));
             llp.push_phys(
+                (now, !retransmit),
                 cur + self.hop_cycles,
                 key,
                 PhysBody::Data {
@@ -484,7 +486,7 @@ impl Network {
                         continue;
                     }
                     let (cum, ack_lat) = llp.receive_data(p.at, p.key, seq, msg, sent_at);
-                    llp.push_phys(p.at + ack_lat, p.key, PhysBody::Ack { cum });
+                    llp.push_phys((now, false), p.at + ack_lat, p.key, PhysBody::Ack { cum });
                 }
             }
         }

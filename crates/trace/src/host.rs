@@ -3,13 +3,13 @@
 //!
 //! Everything else in this crate observes the simulated machine; this
 //! module observes the machine running the simulation. The execution
-//! engines in `smtp-core` stamp a monotonic clock ([`std::time::Instant`])
-//! at every phase transition of their run loops and aggregate the
+//! engine in `smtp-core` stamps a monotonic clock ([`std::time::Instant`])
+//! at every phase transition of its run loop and aggregates the
 //! intervals into a [`HostProfile`]:
 //!
 //! * one [`LaneProfile`] per host thread — the coordinator plus each
-//!   worker of the parallel epoch engine, or the single lane of the
-//!   serial reference loop — attributing every nanosecond of the lane's
+//!   worker when threads are spawned, or the single lane of a run with
+//!   one inline worker — attributing every nanosecond of the lane's
 //!   lifetime to exactly one [`HostPhase`] (tick/compute, barrier-arrival
 //!   wait, barrier-departure wait, message exchange, harvest merge,
 //!   capture/replay of the trace+profiler streams, injection replay,
@@ -21,14 +21,14 @@
 //! Phase attribution telescopes by construction: a [`PhaseTimer`] records
 //! the interval between consecutive stamps into the phase being left, so
 //! the per-phase sums add up to the lane's total wall-clock exactly (the
-//! engines assert this within a measurement epsilon). Per-epoch phase
+//! telemetry tests assert this within a measurement epsilon). Per-epoch phase
 //! durations land in mergeable log2 [`Histogram`]s, so profiles from
 //! sharded runs can be folded together like every other statistic in the
 //! workspace.
 //!
 //! Telemetry is strictly host-side: it never touches simulated state, so
 //! guest-visible results (RunStats, trace streams, span allocation) are
-//! bit-identical with telemetry on or off, serial or parallel.
+//! bit-identical with telemetry on or off, inline or on threads.
 //!
 //! The module also provides the [`Heartbeat`] emitter: periodic JSONL
 //! records (cycle, simulated cycles per wall second, epoch rate, worker
@@ -92,7 +92,8 @@ pub enum HostPhase {
 /// Wall-clock attribution for one host thread (lane) of an engine run.
 #[derive(Clone, Debug)]
 pub struct LaneProfile {
-    /// Lane name: `"serial"`, `"coord"`, or `"w<N>"` for worker N.
+    /// Lane name: `"inline"` (one worker, no threads), `"coord"`, or
+    /// `"w<N>"` for worker thread N.
     pub name: String,
     /// Total lane lifetime in nanoseconds (first to last stamp).
     pub total_ns: u64,
@@ -104,7 +105,7 @@ pub struct LaneProfile {
 
 impl LaneProfile {
     /// Sum of the per-phase attributions — equals [`LaneProfile::total_ns`]
-    /// up to the engines' measurement epsilon.
+    /// up to measurement epsilon.
     pub fn phase_sum(&self) -> u64 {
         self.phase_ns.iter().sum()
     }
@@ -218,31 +219,34 @@ impl PhaseTimer {
 /// together exactly associatively.
 #[derive(Clone, Debug, Default)]
 pub struct HostProfile {
-    /// Engine that produced the profile (`"serial"` or `"parallel"`).
+    /// Engine the run asked for (`"serial"` or `"parallel"`).
     pub engine: String,
-    /// Worker threads the run used (1 for the serial engine).
+    /// Workers that advanced the nodes (1 = inline, no threads).
     pub workers: usize,
-    /// Epochs executed (watchdog-interval segments for the serial engine).
+    /// Epochs executed.
     pub epochs: u64,
-    /// Epoch lookahead in simulated cycles (0 for the serial engine).
+    /// Epoch lookahead in simulated cycles (the minimum cross-node
+    /// message latency; the watchdog interval on a 1-node machine).
     pub lookahead: Cycle,
     /// Simulated cycles the run advanced.
     pub sim_cycles: Cycle,
     /// Engine wall-clock in nanoseconds (the coordinator lane's total).
     pub wall_ns: u64,
-    /// Lane 0 is the coordinator (or the serial loop); lanes 1.. are the
-    /// parallel engine's workers.
+    /// Lane 0 is the calling thread — the coordinator, or the whole loop
+    /// when one worker runs inline; lanes 1.. are the worker threads.
     pub lanes: Vec<LaneProfile>,
     /// Epoch length in simulated cycles, per epoch.
     pub epoch_cycles: Histogram,
-    /// Messages exchanged (injection-replayed) at each epoch barrier.
+    /// Messages injected into the network in each epoch.
     pub barrier_msgs: Histogram,
     /// Per-epoch owned-node tick imbalance across workers, as
     /// `1000 * max(ticks per worker) / mean(ticks per worker)` (1000 =
     /// perfectly balanced; only recorded for multi-worker epochs that
     /// ticked at all).
     pub imbalance_x1000: Histogram,
-    /// Node-cycles actually ticked (one node, one cycle).
+    /// Node-cycles actually ticked (one node, one cycle). With
+    /// `skipped_cycles` it sums to `sim_cycles` × nodes: idle ticks past the
+    /// exit cycle, which the engine rolls back, are not counted.
     pub ticked_cycles: u64,
     /// Node-cycles skipped as provably idle.
     pub skipped_cycles: u64,
@@ -283,7 +287,7 @@ impl HostProfile {
     }
 
     /// Fraction of worker wall-clock spent waiting at epoch barriers
-    /// (arrival + departure). 0 for the serial engine.
+    /// (arrival + departure). 0 when one worker ran inline.
     pub fn barrier_wait_frac(&self) -> f64 {
         let lanes = self.worker_lanes();
         let total: u64 = lanes.iter().map(|l| l.total_ns).sum();
@@ -346,8 +350,8 @@ impl HostProfile {
     }
 
     /// Worst relative telescoping error across lanes:
-    /// `max |phase_sum - total| / total`. The engines stamp phases over
-    /// the lane's whole lifetime, so this is 0 up to clock granularity.
+    /// `max |phase_sum - total| / total`. Phases are stamped over the
+    /// lane's whole lifetime, so this is 0 up to clock granularity.
     pub fn telescoping_error(&self) -> f64 {
         self.lanes
             .iter()

@@ -3,6 +3,9 @@
 
 use crate::ids::MAX_APP_THREADS;
 
+/// Largest machine [`SystemConfig::validate`] accepts, in nodes.
+pub const MAX_NODES: usize = 128;
+
 /// The five machine models compared in the paper (Table 4).
 ///
 /// All directory-protocol execution happens either on an embedded
@@ -394,8 +397,8 @@ impl SystemConfig {
     /// non-power-of-two node count above 1, …).
     pub fn validate(&self) {
         assert!(
-            self.nodes >= 1 && self.nodes <= 128,
-            "1..=128 nodes supported"
+            (1..=MAX_NODES).contains(&self.nodes),
+            "1..={MAX_NODES} nodes supported"
         );
         assert!(
             self.nodes == 1 || self.nodes.is_power_of_two(),

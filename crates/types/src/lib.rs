@@ -31,7 +31,9 @@ pub mod stats;
 
 pub use addr::{app_code_addr, Addr, LineAddr, Region, APP_CODE_BASE, DIR_ENTRY_BYTES, L2_LINE};
 pub use capture::CapturePoint;
-pub use config::{CacheParams, MachineModel, MemParams, NetParams, PipelineParams, SystemConfig};
+pub use config::{
+    CacheParams, MachineModel, MemParams, NetParams, PipelineParams, SystemConfig, MAX_NODES,
+};
 pub use faults::{
     EccFaults, FaultConfig, FaultStream, FaultSummary, FaultWindows, HandlerDelayFaults,
     LinkFaults, StallFaults,

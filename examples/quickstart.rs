@@ -20,13 +20,14 @@
 //! `chrome://tracing` to see pipelines, protocol handlers, coherence
 //! transactions and network traffic on a shared timeline.
 //!
-//! With `--engine <serial|parallel>` the run uses the chosen execution
-//! engine (default serial). Both produce bit-identical results; `parallel`
-//! partitions the nodes across worker threads and skips provably idle
-//! cycles, so large machines simulate faster on multi-core hosts.
-//! `--workers N` pins the parallel engine's worker count (default: the
-//! host's available parallelism) — a host-side knob that never changes the
-//! simulated results.
+//! `--engine <serial|parallel>` chooses how many host threads run the one
+//! epoch loop (which skips provably idle cycles either way): `serial`, the
+//! default, is one worker inline on the calling thread; `parallel`
+//! partitions the nodes across worker threads, so large machines simulate
+//! faster on multi-core hosts. Results are bit-identical. `--workers N`
+//! pins `parallel`'s worker count (default: the host's available
+//! parallelism, never more than nodes; at 1 it runs inline like `serial`)
+//! — a host-side knob that never changes the simulated results.
 //!
 //! With `--telemetry [path]` the engine profiles *itself*: host-side
 //! wall-clock attribution per run-loop phase (tick, barrier waits, merge,

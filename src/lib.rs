@@ -51,8 +51,8 @@ pub use smtp_workloads as workloads;
 pub use smtp_bench::{Archive, DiffOptions, NoiseBand, ReportDiff, RunKey};
 pub use smtp_core::{
     build_system, run_experiment, spatial_json, try_run_experiment, Diagnosis, EngineKind,
-    EngineTuning, ExperimentConfig, JsonValue, ParsedReport, ParsedSpatial, Report, RunError,
-    RunErrorKind, RunStats, System, ThreadTime, REPORT_SCHEMA_VERSION,
+    ExperimentConfig, JsonValue, ParsedReport, ParsedSpatial, Report, RunError, RunErrorKind,
+    RunStats, System, ThreadTime, REPORT_SCHEMA_VERSION,
 };
 pub use smtp_trace::{Heartbeat, HostPhase, HostProfile, LaneProfile};
 pub use smtp_trace::{HotLine, SharingClass, SpatialStats};

@@ -2,8 +2,9 @@
 //!
 //! * the same configuration run twice archives two entries whose diff has
 //!   **zero guest delta**;
-//! * a serial and a parallel run of the same configuration also diff to
-//!   zero guest delta (the engines are bit-identical);
+//! * a reference-loop, a serial and a parallel run of the same
+//!   configuration also diff to zero guest delta (the engines are
+//!   bit-identical to the tick-everything loop);
 //! * a perturbed guest metric is detected and fails the gate.
 
 use smtp::bench::{diff_reports, Archive, DiffOptions, RunKey};
@@ -83,11 +84,20 @@ fn serial_vs_parallel_engines_diff_to_zero_guest_delta() {
         .expect("parallel entry");
     assert_eq!(serial.key.fingerprint, parallel.key.fingerprint);
 
-    // …and the guest metrics must be bit-identical across engines.
+    // …and the guest metrics must be bit-identical across engines, and to
+    // the tick-everything reference loop's report.
     let d = diff_reports(&serial.report, &parallel.report, &DiffOptions::default());
     assert!(
         !d.has_guest_drift(),
         "engines diverged:\n{}",
+        d.render_text()
+    );
+    let stats = build_system(&e).run_reference(e.max_cycles).expect("run");
+    let oracle = ParsedReport::from_json(&Report::new(&stats).json()).expect("report parses");
+    let d = diff_reports(&oracle, &serial.report, &DiffOptions::default());
+    assert!(
+        !d.has_guest_drift(),
+        "engine diverged from the reference loop:\n{}",
         d.render_text()
     );
     // Wall clocks come from different engine populations: reported as a

@@ -2,9 +2,10 @@
 //! dispatch pairs with exactly one completion on the same span; every
 //! allocated span is freed exactly once), exact agreement between the
 //! critical-path attribution and the phase profiler's end-to-end latency,
-//! bit-identical span analysis under both execution engines, and a valid
+//! span analysis bit-identical to the reference loop's on both engines, and a valid
 //! Chrome trace (with flow events) even when the run dies mid-flight.
 
+use smtp::core::experiment::assert_engines_match_reference;
 use smtp::trace::{ChromeTraceSink, Event, MemorySink, SharedBuf};
 use smtp::types::{Cycle, SpanId};
 use smtp::{
@@ -234,25 +235,20 @@ fn critical_path_telescopes_to_profiler_end_to_end() {
     assert_eq!(cp.cycles.iter().sum::<u64>(), cp.total_cycles);
 }
 
-/// Causal analysis is deterministic across engines: the parallel engine's
-/// capture/replay delivers events to sinks in serial order, so breakdown,
-/// exemplars and the report section are bit-identical.
+/// Causal analysis is deterministic across engines: inline the engine
+/// emits events in the reference loop's order and the threaded exchange's
+/// capture/replay restores it, so breakdown, exemplars and the report
+/// section are bit-identical to the reference loop's.
 #[test]
 fn causal_breakdown_identical_on_both_engines() {
-    let e = quick(2, 2, None);
-    let run = |engine| {
-        let mut sys = build_system(&e);
-        let causal = sys.enable_causal_spans(4);
-        let stats = sys
-            .run_with(e.max_cycles, engine)
-            .unwrap_or_else(|err| panic!("{engine} run failed: {err}"));
+    let mut e = quick(2, 2, None);
+    e.workers = Some(2);
+    let arm = |sys: &mut smtp::System| sys.enable_causal_spans(4);
+    assert_engines_match_reference(&e, "causal x2", arm, |_, causal, res| {
+        let stats = res.unwrap_or_else(|err| panic!("run failed: {err}"));
         let trees: Vec<String> = causal.exemplars().iter().map(|x| x.render_tree()).collect();
         (stats.critical_path, trees)
-    };
-    let (serial_cp, serial_trees) = run(EngineKind::Serial);
-    let (parallel_cp, parallel_trees) = run(EngineKind::Parallel);
-    assert_eq!(serial_cp, parallel_cp);
-    assert_eq!(serial_trees, parallel_trees);
+    });
 }
 
 /// A run that dies mid-simulation must still leave a *loadable* Chrome

@@ -4,18 +4,20 @@
 //! [`smtp::RunError`]. **No cell may panic**: each run is wrapped in
 //! `catch_unwind` to prove the failure path is structured all the way down.
 
+use smtp::core::experiment::assert_engines_match_reference;
 use smtp::types::{EccFaults, LinkFaults, StallFaults};
 use smtp::{
-    build_system, try_run_experiment, AppKind, EngineKind, EngineTuning, ExperimentConfig,
-    FaultConfig, MachineModel, RunError, RunErrorKind, RunStats,
+    build_system, try_run_experiment, AppKind, ExperimentConfig, FaultConfig, MachineModel,
+    RunError, RunErrorKind, RunStats,
 };
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Run one small SMTp machine under `faults`, inside `catch_unwind`: a panic
 /// anywhere in the fault path fails the test with the cell label. Every cell
-/// runs on both engines — the serial oracle, and the parallel engine with
-/// adaptive epochs and per-epoch rebalancing turned all the way up — and the
-/// two outcomes (stats or structured error, every field) must match exactly.
+/// runs on the reference loop and on both engines (inline and two worker
+/// threads), and the outcomes (stats or structured error, every field) must
+/// match exactly.
 fn run_cell(label: &str, faults: FaultConfig) -> Result<RunStats, RunError> {
     let mut exp = ExperimentConfig::quick(MachineModel::SMTp, AppKind::Fft, 2, 1);
     exp.scale = 0.05;
@@ -24,29 +26,17 @@ fn run_cell(label: &str, faults: FaultConfig) -> Result<RunStats, RunError> {
     // Bound each cell: a machine that limps along under heavy faults without
     // quiescing ends in a diagnosable `Deadlock`, which the matrix accepts.
     exp.max_cycles = 4_000_000;
-    let serial = catch_unwind(AssertUnwindSafe(|| {
-        let mut sys = build_system(&exp);
-        sys.enable_invariant_checks(25_000);
-        sys.run(exp.max_cycles)
+    let arm = |sys: &mut smtp::System| sys.enable_invariant_checks(25_000);
+    let outcome = RefCell::new(None);
+    catch_unwind(AssertUnwindSafe(|| {
+        assert_engines_match_reference(&exp, label, arm, |_, (), res| {
+            let rendered = format!("{res:?}");
+            outcome.replace(Some(res));
+            rendered
+        })
     }))
-    .unwrap_or_else(|_| panic!("cell {label}: panicked instead of returning RunError"));
-    let parallel = catch_unwind(AssertUnwindSafe(|| {
-        let mut sys = build_system(&exp);
-        sys.enable_invariant_checks(25_000);
-        sys.set_engine_tuning(EngineTuning {
-            adaptive_epochs: true,
-            rebalance_every: 1,
-            rebalance_threshold: 1.0,
-        });
-        sys.run_with(exp.max_cycles, EngineKind::Parallel)
-    }))
-    .unwrap_or_else(|_| panic!("cell {label}: parallel engine panicked under faults"));
-    assert_eq!(
-        format!("{serial:?}"),
-        format!("{parallel:?}"),
-        "cell {label}: engines diverged under faults"
-    );
-    serial
+    .unwrap_or_else(|_| panic!("cell {label}: panicked or diverged under faults"));
+    outcome.into_inner().expect("every leg records its outcome")
 }
 
 #[test]

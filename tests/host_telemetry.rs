@@ -2,20 +2,23 @@
 //! (per-phase time sums to lane total), the heartbeat must emit valid
 //! JSONL even when a run dies mid-flight, and — the load-bearing property
 //! — turning telemetry on must never perturb a single guest-visible bit:
-//! the same `RunStats`, trace events and metrics rows fall out whether the
-//! engine profiles itself or not, on either engine, faults or no faults.
+//! the same `RunStats`, trace events and metrics rows as the tick-everything
+//! reference loop fall out whether the engine profiles itself or not, inline
+//! or on threads, faults or no faults.
 
+use smtp::core::experiment::assert_engines_match_reference;
 use smtp::trace::{MemorySink, SharedBuf};
 use smtp::{
-    build_system, AppKind, EngineKind, EngineTuning, ExperimentConfig, FaultConfig, HostProfile,
+    build_system, AppKind, EngineKind, ExperimentConfig, FaultConfig, HostPhase, HostProfile,
     MachineModel,
 };
+use std::cell::RefCell;
 
 fn point(model: MachineModel, nodes: usize, ways: usize, seed: Option<u64>) -> ExperimentConfig {
     let mut e = ExperimentConfig::quick(model, AppKind::Fft, nodes, ways);
     e.scale = 0.1;
-    // Pin the worker count in the *config* so every run — serial or
-    // parallel, telemetry or not — records the same `RunStats.workers`.
+    // Pinned in the *config* so every run records the same
+    // `RunStats.workers` and the parallel engine really uses threads.
     e.workers = Some(2);
     if let Some(seed) = seed {
         e.faults = FaultConfig::chaos(seed);
@@ -23,67 +26,55 @@ fn point(model: MachineModel, nodes: usize, ways: usize, seed: Option<u64>) -> E
     e
 }
 
-/// Everything guest-visible from one run, plus the host profile when
-/// telemetry was on.
-struct Observed {
-    stats: String,
-    events: usize,
-    first_events: String,
-    metrics: Vec<(u64, Vec<f64>)>,
-    host: Option<HostProfile>,
-}
+/// Everything guest-visible from one run: stats, trace length and head,
+/// metrics rows.
+type Guest = (String, usize, String, Vec<(u64, Vec<f64>)>);
 
-fn observe(e: &ExperimentConfig, engine: EngineKind, telemetry: bool) -> Observed {
-    observe_tuned(e, engine, telemetry, EngineTuning::default())
-}
-
-fn observe_tuned(
+/// Run `e` on the reference loop and on both engines with host telemetry
+/// (and whatever else `arm` switches on), asserting that each engine's
+/// guest-visible output matches the reference loop's. Returns it, with the
+/// serial and parallel engines' host profiles (none with telemetry off).
+fn observe(
     e: &ExperimentConfig,
-    engine: EngineKind,
     telemetry: bool,
-    tuning: EngineTuning,
-) -> Observed {
-    let mut sys = build_system(e);
-    sys.set_engine_tuning(tuning);
-    sys.tracer().enable_all();
-    let store = MemorySink::shared();
-    sys.tracer().add_sink(Box::new(MemorySink::attach(&store)));
-    sys.enable_metrics(5_000);
-    if telemetry {
-        sys.enable_host_telemetry();
-    }
-    let stats = sys
-        .run_with(e.max_cycles, engine)
-        .unwrap_or_else(|err| panic!("{engine} engine failed: {err}"));
-    let metrics = sys.metrics().map(|s| s.rows().to_vec()).unwrap_or_default();
-    let events = store.borrow().len();
-    let first_events = format!("{:?}", &store.borrow()[..events.min(64)]);
-    Observed {
-        stats: format!("{stats:?}"),
-        events,
-        first_events,
-        metrics,
-        host: sys.take_host_profile(),
-    }
-}
-
-fn assert_guest_identical(a: &Observed, b: &Observed, label: &str) {
-    assert_eq!(a.stats, b.stats, "[{label}] RunStats diverged");
-    assert_eq!(a.events, b.events, "[{label}] trace length diverged");
-    assert_eq!(
-        a.first_events, b.first_events,
-        "[{label}] trace events diverged"
+    arm: impl Fn(&mut smtp::System),
+    label: &str,
+) -> (Guest, Vec<HostProfile>) {
+    let hosts = RefCell::new(Vec::new());
+    let guest = assert_engines_match_reference(
+        e,
+        label,
+        |sys| {
+            sys.tracer().enable_all();
+            let store = MemorySink::shared();
+            sys.tracer().add_sink(Box::new(MemorySink::attach(&store)));
+            sys.enable_metrics(5_000);
+            if telemetry {
+                sys.enable_host_telemetry();
+            }
+            arm(sys);
+            store
+        },
+        |sys, store, res| {
+            let stats = res.unwrap_or_else(|err| panic!("[{label}] run failed: {err}"));
+            hosts.borrow_mut().extend(sys.take_host_profile());
+            let metrics = sys.metrics().map(|s| s.rows().to_vec()).unwrap_or_default();
+            let events = store.borrow().len();
+            let first_events = format!("{:?}", &store.borrow()[..events.min(64)]);
+            (format!("{stats:?}"), events, first_events, metrics)
+        },
     );
-    assert_eq!(a.metrics, b.metrics, "[{label}] metrics rows diverged");
+    (guest, hosts.into_inner())
 }
 
 /// Per-lane phase attribution must telescope: the per-phase nanoseconds
 /// sum to the lane's total within epsilon (the `PhaseTimer` charges every
 /// interval between consecutive clock stamps to exactly one phase, so the
-/// error should in fact be zero).
-fn assert_telescopes(host: &HostProfile, label: &str) {
+/// error should in fact be zero), lane 0 spans the run's wall clock, and
+/// every simulated node-cycle was either ticked or skipped.
+fn assert_telescopes(host: &HostProfile, nodes: usize, label: &str) {
     const EPS: f64 = 1e-6;
-    assert!(!host.lanes.is_empty(), "[{label}] profile carries no lanes");
+    assert_eq!(host.lanes[0].total_ns, host.wall_ns, "[{label}] lane 0");
     for lane in &host.lanes {
         let sum = lane.phase_sum();
         let err = (sum as f64 - lane.total_ns as f64).abs() / (lane.total_ns.max(1) as f64);
@@ -99,39 +90,45 @@ fn assert_telescopes(host: &HostProfile, label: &str) {
         "[{label}] telescoping_error {} exceeds epsilon",
         host.telescoping_error()
     );
+    assert!(host.epochs > 0 && host.sim_cycles > 0 && host.wall_ns > 0);
+    assert_eq!(host.epochs, host.epoch_cycles.count());
+    assert_eq!(
+        host.ticked_cycles + host.skipped_cycles,
+        host.sim_cycles * nodes as u64,
+        "[{label}] node-cycles are not conserved"
+    );
 }
 
 #[test]
 fn serial_profile_telescopes_and_covers_the_run() {
     let e = point(MachineModel::SMTp, 2, 2, None);
-    let o = observe(&e, EngineKind::Serial, true);
-    let host = o.host.expect("telemetry on must yield a profile");
-    assert_eq!(host.engine, "serial");
-    assert_eq!(host.workers, 1);
-    assert_eq!(host.lanes.len(), 1);
-    assert!(host.epochs > 0, "no epochs recorded");
-    assert!(host.sim_cycles > 0 && host.wall_ns > 0);
-    assert_eq!(host.skipped_cycles, 0, "serial engine never skips");
-    assert!(host.ticked_cycles >= host.sim_cycles);
-    assert_telescopes(&host, "serial");
+    let (_, hosts) = observe(&e, true, |_| {}, "x2");
+    // One worker runs inline — `Serial`, or `Parallel` pinned to one.
+    let mut pinned = e.clone();
+    pinned.workers = Some(1);
+    let (_, pinned) = observe(&pinned, true, |_| {}, "x2 workers=1");
+    for (host, engine) in [(&hosts[0], "serial"), (&pinned[1], "parallel")] {
+        assert_eq!(host.engine, engine);
+        assert_eq!(host.workers, 1);
+        assert_eq!(host.lanes.len(), 1, "one inline lane, no coordinator");
+        let lane = &host.lanes[0];
+        let waits = [HostPhase::BarrierArrive, HostPhase::BarrierDepart];
+        assert!(waits.iter().all(|&p| lane.phase_ns[p as usize] == 0));
+        assert_eq!(host.barrier_wait_frac(), 0.0);
+        assert_telescopes(host, e.nodes, engine);
+    }
 }
 
 #[test]
 fn parallel_profile_telescopes_and_covers_the_run() {
     let e = point(MachineModel::SMTp, 4, 2, None);
-    let o = observe(&e, EngineKind::Parallel, true);
-    let host = o.host.expect("telemetry on must yield a profile");
+    let (_, hosts) = observe(&e, true, |_| {}, "x4");
+    let host = &hosts[1];
     assert_eq!(host.engine, "parallel");
     assert_eq!(host.workers, 2);
     // Coordinator lane plus one lane per worker.
     assert_eq!(host.lanes.len(), 1 + host.workers);
-    assert!(host.epochs > 0, "no epochs recorded");
-    assert_eq!(host.epochs, host.epoch_cycles.count());
-    assert!(
-        host.ticked_cycles + host.skipped_cycles > 0,
-        "workers ticked nothing"
-    );
-    assert_telescopes(&host, "parallel");
+    assert_telescopes(host, e.nodes, "parallel");
     // Derived metrics stay in range.
     let bw = host.barrier_wait_frac();
     assert!(
@@ -151,88 +148,42 @@ fn parallel_profile_telescopes_and_covers_the_run() {
 #[test]
 fn telemetry_never_perturbs_guest_state() {
     let e = point(MachineModel::SMTp, 2, 2, None);
-    let oracle = observe(&e, EngineKind::Serial, false);
-    let serial_telem = observe(&e, EngineKind::Serial, true);
-    let parallel_off = observe(&e, EngineKind::Parallel, false);
-    let parallel_telem = observe(&e, EngineKind::Parallel, true);
-    assert_guest_identical(&oracle, &serial_telem, "serial telemetry on/off");
-    assert_guest_identical(&oracle, &parallel_off, "serial vs parallel");
-    assert_guest_identical(&oracle, &parallel_telem, "serial vs parallel+telemetry");
-    assert!(oracle.host.is_none(), "telemetry off must not profile");
-    assert!(parallel_telem.host.is_some());
+    let (off, no_hosts) = observe(&e, false, |_| {}, "telemetry off");
+    let (on, hosts) = observe(&e, true, |_| {}, "telemetry on");
+    assert_eq!(off, on, "telemetry perturbed the guest");
+    assert!(no_hosts.is_empty(), "telemetry off must not profile");
+    assert_eq!(hosts.len(), 2, "both engines must profile");
 }
 
+/// Both promises at once, with the fault machinery live (armed nodes
+/// never idle-skip, and exits retract real ticks): guest bits identical to
+/// the reference loop, host attribution that still telescopes.
 #[test]
 fn telemetry_never_perturbs_guest_state_under_chaos_faults() {
-    for seed in [7u64, 0xC8A05] {
-        let e = point(MachineModel::SMTp, 2, 2, Some(seed));
-        let oracle = observe(&e, EngineKind::Serial, false);
-        let serial_telem = observe(&e, EngineKind::Serial, true);
-        let parallel_telem = observe(&e, EngineKind::Parallel, true);
-        assert_guest_identical(
-            &oracle,
-            &serial_telem,
-            &format!("chaos({seed}) serial telemetry on/off"),
-        );
-        assert_guest_identical(
-            &oracle,
-            &parallel_telem,
-            &format!("chaos({seed}) serial vs parallel+telemetry"),
-        );
-        assert_telescopes(
-            parallel_telem.host.as_ref().unwrap(),
-            &format!("chaos({seed})"),
-        );
-    }
-}
-
-/// The tuned-up engine — adaptive epochs plus per-epoch rebalancing — must
-/// keep both telemetry promises at once: guest bits identical to the serial
-/// oracle, and host attribution that still telescopes, with and without
-/// chaos faults.
-#[test]
-fn tuned_engine_telemetry_telescopes_and_stays_bit_identical() {
-    let aggressive = EngineTuning {
-        adaptive_epochs: true,
-        rebalance_every: 1,
-        rebalance_threshold: 1.0,
-    };
-    for seed in [None, Some(7u64)] {
-        let e = point(MachineModel::SMTp, 4, 2, seed);
-        let oracle = observe(&e, EngineKind::Serial, false);
-        let tuned = observe_tuned(&e, EngineKind::Parallel, true, aggressive);
-        let label = format!("tuned chaos={seed:?}");
-        assert_guest_identical(&oracle, &tuned, &label);
-        assert_telescopes(tuned.host.as_ref().unwrap(), &label);
+    for (nodes, seed) in [(2, 7u64), (2, 0xC8A05), (4, 7)] {
+        let e = point(MachineModel::SMTp, nodes, 2, Some(seed));
+        let label = format!("x{nodes} chaos({seed})");
+        let (off, _) = observe(&e, false, |_| {}, &label);
+        let (on, hosts) = observe(&e, true, |_| {}, &label);
+        assert_eq!(off, on, "[{label}] telemetry perturbed the guest");
+        for host in &hosts {
+            assert_telescopes(host, nodes, &label);
+        }
     }
 }
 
 #[test]
 fn heartbeat_never_perturbs_guest_state() {
     let e = point(MachineModel::SMTp, 2, 2, None);
-    let oracle = observe(&e, EngineKind::Serial, false);
+    let (plain, _) = observe(&e, false, |_| {}, "no heartbeat");
+    // Beats are snapped to epoch boundaries; the quick run is ~25k cycles,
+    // so a 4k-cycle interval yields several on top of the start and end
+    // records.
     let buf = SharedBuf::new();
-    let mut sys = build_system(&e);
-    sys.tracer().enable_all();
-    let store = MemorySink::shared();
-    sys.tracer().add_sink(Box::new(MemorySink::attach(&store)));
-    sys.enable_metrics(5_000);
-    // The serial engine only checks the heartbeat at watchdog boundaries
-    // (every 8192 cycles); the quick run is ~25k cycles, so a 4k-cycle
-    // interval yields a beat at each boundary the run reaches.
-    sys.enable_heartbeat(4_000, Some(Box::new(buf.clone())));
-    let stats = sys.run(e.max_cycles).expect("run must complete");
-    assert_eq!(
-        oracle.stats,
-        format!("{stats:?}"),
-        "heartbeat perturbed RunStats"
-    );
-    assert_eq!(
-        oracle.events,
-        store.borrow().len(),
-        "heartbeat perturbed trace"
-    );
-    assert_heartbeat_jsonl(&buf.to_string_lossy(), 2);
+    let arm = |sys: &mut smtp::System| sys.enable_heartbeat(4_000, Some(Box::new(buf.clone())));
+    let (beating, _) = observe(&e, false, arm, "heartbeat");
+    assert_eq!(plain, beating, "heartbeat perturbed the guest");
+    assert_heartbeat_jsonl(&buf.to_string_lossy(), 2 * 4);
 }
 
 /// Validate a heartbeat stream: line-complete JSONL, each line one

@@ -44,24 +44,22 @@ static GLOBAL: Counting = Counting;
 /// parallel threads: one measurement at a time.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// Heap allocations per node-cycle over `measured` cycles of the serial
-/// tick loop, after `warm_up` cycles in which queues and scratch buffers
-/// reach their working size.
+/// Heap allocations per node-cycle over `measured` cycles of the inline
+/// engine loop, after `warm_up` cycles in which queues and scratch buffers
+/// reach their working size. Each leg ends by exhausting its cycle budget
+/// (a structured `Deadlock`, whose one-off diagnosis is counted too).
 fn allocations_per_node_cycle(cfg: &ExperimentConfig, warm_up: u64, measured: u64) -> f64 {
     let _guard = ONE_AT_A_TIME
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     let mut sys = build_system(cfg);
-    for _ in 0..warm_up {
-        sys.tick();
-    }
-    assert!(!sys.quiesced(), "workload too small: over during warm-up");
+    sys.run(warm_up)
+        .expect_err("workload too small: over during warm-up");
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..measured {
-        sys.tick();
-    }
+    let end = sys.run(warm_up + measured);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert!(!sys.quiesced(), "workload too small: over while measuring");
+    end.expect_err("workload too small: over while measuring");
+    assert_eq!(sys.now(), warm_up + measured);
     allocations as f64 / (measured * cfg.nodes as u64) as f64
 }
 

@@ -1,14 +1,13 @@
 //! Spatial hot-spot attribution: the per-line trackers, home-node heatmap
 //! and link utilization matrix are *guest state* — they must come out
-//! bit-identical on either execution engine, under any host-side tuning,
-//! with or without chaos faults. And arming the layer must never perturb
-//! the rest of the guest: same cycles, same instructions, same trace.
+//! bit-identical to the tick-everything reference loop on the engine,
+//! inline or on threads, with or without chaos faults. And arming the
+//! layer must never perturb the rest of the guest: same cycles, same
+//! instructions, same trace.
 
+use smtp::core::experiment::assert_engines_match_reference;
 use smtp::trace::MemorySink;
-use smtp::{
-    build_system, AppKind, EngineKind, EngineTuning, ExperimentConfig, FaultConfig, MachineModel,
-    Report,
-};
+use smtp::{build_system, AppKind, ExperimentConfig, FaultConfig, MachineModel, Report};
 
 fn point(nodes: usize, ways: usize, seed: Option<u64>) -> ExperimentConfig {
     let mut e = ExperimentConfig::quick(MachineModel::SMTp, AppKind::Fft, nodes, ways);
@@ -20,51 +19,27 @@ fn point(nodes: usize, ways: usize, seed: Option<u64>) -> ExperimentConfig {
     e
 }
 
-/// One run with spatial attribution armed: the full `RunStats` debug
-/// rendering (which includes every spatial counter) and the v4 report
-/// JSON (which includes the serialized `spatial` section).
-fn observe(e: &ExperimentConfig, engine: EngineKind, tuning: EngineTuning) -> (String, String) {
-    let mut sys = build_system(e);
-    sys.set_engine_tuning(tuning);
-    sys.enable_spatial(32);
-    let stats = sys
-        .run_with(e.max_cycles, engine)
-        .unwrap_or_else(|err| panic!("{engine} engine failed: {err}"));
-    let json = Report::new(&stats).json();
-    (format!("{stats:?}"), json)
-}
-
-fn aggressive() -> EngineTuning {
-    EngineTuning {
-        adaptive_epochs: true,
-        rebalance_every: 1,
-        rebalance_threshold: 1.0,
-    }
+/// Run `e` with spatial attribution armed on the reference loop and both
+/// engines; the full `RunStats` debug rendering (which includes every
+/// spatial counter) and the v4 report JSON (which includes the serialized
+/// `spatial` section) must match. Returns the report JSON.
+fn observe(e: &ExperimentConfig, label: &str) -> String {
+    let arm = |sys: &mut smtp::System| sys.enable_spatial(32);
+    let (_, json) = assert_engines_match_reference(e, label, arm, |_, (), res| {
+        let stats = res.unwrap_or_else(|err| panic!("[{label}] run failed: {err}"));
+        let json = Report::new(&stats).json();
+        (format!("{stats:?}"), json)
+    });
+    json
 }
 
 #[test]
-fn spatial_state_is_bit_identical_across_engines_tunings_and_chaos() {
+fn spatial_state_is_bit_identical_across_engines_and_chaos() {
     for seed in [None, Some(7u64), Some(0xC8A05)] {
-        let e = point(4, 2, seed);
-        let oracle = observe(&e, EngineKind::Serial, EngineTuning::default());
-        for (engine, tuning, label) in [
-            (EngineKind::Parallel, EngineTuning::default(), "parallel"),
-            (EngineKind::Parallel, aggressive(), "parallel+aggressive"),
-            (EngineKind::Serial, aggressive(), "serial+aggressive"),
-        ] {
-            let got = observe(&e, engine, tuning);
-            assert_eq!(
-                oracle.0, got.0,
-                "[chaos={seed:?} {label}] RunStats (incl. spatial) diverged"
-            );
-            assert_eq!(
-                oracle.1, got.1,
-                "[chaos={seed:?} {label}] report JSON diverged"
-            );
-        }
+        let json = observe(&point(4, 2, seed), &format!("chaos={seed:?}"));
         // The runs above actually exercised the layer.
         assert!(
-            oracle.1.contains("\"spatial\":{\"enabled\":true"),
+            json.contains("\"spatial\":{\"enabled\":true"),
             "spatial layer was not armed"
         );
     }
@@ -178,18 +153,13 @@ fn hotspot_metrics_columns_round_trip_through_csv() {
 }
 
 /// The 32-node scaling sentinel: spatial state stays bit-identical between
-/// the serial oracle and the aggressively tuned parallel engine at the
-/// paper's largest machine. Release-only (`--ignored`), wired into the CI
-/// engine-scaling job.
+/// the reference loop and both engines at the paper's largest machine.
+/// Release-only (`--ignored`), wired into the CI engine-scaling job.
 #[test]
 #[ignore = "release-scale: run with --ignored"]
 fn spatial_32node_bit_identity() {
     let mut e = ExperimentConfig::quick(MachineModel::SMTp, AppKind::Fft, 32, 2);
     e.scale = 0.05;
     e.workers = Some(2);
-    let oracle = observe(&e, EngineKind::Serial, EngineTuning::default());
-    let tuned = observe(&e, EngineKind::Parallel, aggressive());
-    assert_eq!(oracle.0, tuned.0, "32-node RunStats diverged");
-    assert_eq!(oracle.1, tuned.1, "32-node report JSON diverged");
-    assert!(oracle.1.contains("\"spatial\":{\"enabled\":true"));
+    assert!(observe(&e, "x32").contains("\"spatial\":{\"enabled\":true"));
 }
